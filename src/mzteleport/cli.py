@@ -8,6 +8,7 @@ a failure during evaluation, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -197,8 +198,8 @@ def _to_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"--squeezing must lie in [0, 1), got {squeezing}")
         H = squeezing_to_H(squeezing)
     elif pump_gain is not None:
-        if pump_gain < 1.0:
-            parser.error(f"--H must be >= 1, got {pump_gain}")
+        if not (math.isfinite(pump_gain) and pump_gain >= 1.0):
+            parser.error(f"--H must be a finite number >= 1, got {pump_gain}")
         H = pump_gain
     else:
         H = 1.0
@@ -220,6 +221,8 @@ def _to_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     gain_min = getattr(args, "gain_min", 0.0)
     gain_max = getattr(args, "gain_max", 1.5)
     steps = getattr(args, "steps", 301)
+    if not (math.isfinite(gain_min) and math.isfinite(gain_max)):
+        parser.error(f"--gain-min and --gain-max must be finite, got {gain_min} and {gain_max}")
     if not gain_min < gain_max:
         parser.error(f"--gain-min must be below --gain-max, got {gain_min} and {gain_max}")
     if steps < 2:

@@ -9,12 +9,18 @@ operator is linear in ladder operators, so its image reaches at most two
 photons per mode. Any cutoff of 3 or more therefore yields the
 mathematically exact value, not an approximation; raising the cutoff
 must not change the result.
+
+:func:`oracle_flux` holds the full state vector, ``(cutoff+1)**modes``
+cells over the field's modes plus both signal modes. Each term's factor
+``u a + v a^dag`` is a ``(cutoff+1)``-square matrix contracted against
+its own axis of that vector, so a call costs at most
+``modes x (cutoff+1)**modes`` cells of arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -87,9 +93,10 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     """Recompute ``photon_flux`` as ``<psi| M^dag M |psi>`` in Fock space.
 
     ``|psi>`` is the explicit state vector with amplitude ``x`` on the
-    one-photon horizontal component and ``y`` on the vertical one. The
-    operator is applied factor by factor, so only the state vector is
-    ever materialized at full tensor dimension.
+    one-photon horizontal component and ``y`` on the vertical one, over
+    the field's modes plus both signal modes. Each term's single-mode
+    factor acts on its own axis of that vector and is added into one
+    image; no operator is materialized at full tensor dimension.
     """
     if cutoff < 3:
         raise ValueError(
@@ -98,7 +105,8 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     sig_h, sig_v = field.registry.signal_pair()
     indices = sorted(set(field.terms) | {sig_h.index, sig_v.index})
     dim = cutoff + 1
-    if dim ** len(indices) > _VECTOR_CELL_LIMIT:
+    cells = dim ** len(indices)
+    if cells > _VECTOR_CELL_LIMIT:
         raise ValueError(
             f"state vector with {len(indices)} modes at cutoff {cutoff} exceeds "
             f"{_VECTOR_CELL_LIMIT} cells"
@@ -113,19 +121,39 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     component[axis_of[sig_v.index]] = 1
     psi[tuple(component)] = state.y
 
-    lower = ladder_matrix(cutoff)
-    raiser = lower.conj().T
-    image = np.zeros_like(psi)
-    for index, (u, v) in field.terms.items():
-        axis = axis_of[index]
-        if u != 0:
-            image = image + u * _apply_on_axis(lower, psi, axis)
-        if v != 0:
-            image = image + v * _apply_on_axis(raiser, psi, axis)
+    lower, raiser = _ladder_pair(cutoff)
+    coefficients = np.array(list(field.terms.values()), dtype=complex).reshape(-1, 2)
+    factors = coefficients[:, :1, None] * lower + coefficients[:, 1:, None] * raiser
+    image = np.zeros(cells, dtype=complex)
+    # One scratch vector serves every term: a fresh full-size array per
+    # term costs as much in allocation and page faults as the product.
+    term = np.empty(cells, dtype=complex)
+    for index, factor in zip(field.terms, factors):
+        outer = dim ** axis_of[index]
+        shape = (outer, dim, cells // (outer * dim))
+        _apply_on_axis(factor, psi.reshape(shape), term.reshape(shape))
+        image += term
     return float(np.vdot(image, image).real)
 
 
-def _apply_on_axis(matrix: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
-    """Contract a single-mode matrix against one tensor axis of the state."""
-    moved = np.tensordot(matrix, psi, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
+@lru_cache(maxsize=8)
+def _ladder_pair(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(a, a^dag)`` at this cutoff, shared by every oracle call."""
+    lower = ladder_matrix(cutoff)
+    raiser = lower.conj().T.copy()
+    lower.flags.writeable = False
+    raiser.flags.writeable = False
+    return lower, raiser
+
+
+def _apply_on_axis(factor: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    """Write ``factor`` applied to the middle axis of ``psi`` into ``out``.
+
+    Both are ``(outer, dim, inner)`` views. A stacked matmul runs one small
+    product per leading index, so the stack runs over the shorter of
+    ``outer`` and ``inner``.
+    """
+    if psi.shape[0] <= psi.shape[2]:
+        np.matmul(factor, psi, out=out)
+    else:
+        np.matmul(psi.transpose(2, 0, 1), factor.T, out=out.transpose(2, 0, 1))

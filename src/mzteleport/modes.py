@@ -251,7 +251,7 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
     Returns ``(sqrt(H) f1 + sqrt(H-1) f2^dag, sqrt(H) f2 + sqrt(H-1) f1^dag)``.
     ``H = 1`` is the identity (no entanglement).
     """
-    if H < 1.0:
+    if not H >= 1.0:
         raise ValueError(f"pump gain must be >= 1, got {H!r}")
     if f1.registry is not f2.registry:
         raise ValueError("ancilla modes belong to different registries")
@@ -270,7 +270,7 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
 
 def single_mode_squeezer(f: ModeId, H: float) -> LinearField:
     """Squeezed beam ``sqrt(H) f + sqrt(H-1) f^dag`` from one fresh ancilla."""
-    if H < 1.0:
+    if not H >= 1.0:
         raise ValueError(f"pump gain must be >= 1, got {H!r}")
     _require_role(f, Role.SQUEEZER_ANCILLA)
     f.registry.claim_fresh(f)

@@ -44,8 +44,10 @@ class PortCounts:
     count_b: float
 
     def __post_init__(self) -> None:
-        if self.count_a < 0.0 or self.count_b < 0.0:
-            raise ValueError("photon counts cannot be negative")
+        if not (self.count_a >= 0.0 and self.count_b >= 0.0):
+            raise ValueError(
+                f"photon counts must be non-negative, got {self.count_a!r} and {self.count_b!r}"
+            )
 
 
 def photon_flux(field: LinearField, state: QubitInput) -> float:

@@ -81,9 +81,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.source not in KINDS:
             raise ValueError(f"unknown source {self.source!r}")
-        if self.gain < 0.0:
+        if not self.gain >= 0.0:
             raise ValueError(f"feedforward gain must be >= 0, got {self.gain!r}")
-        if self.H < 1.0:
+        if not self.H >= 1.0:
             raise ValueError(f"pump gain must be >= 1, got {self.H!r}")
         if self.source == KIND_CLASSICAL and self.H != 1.0:
             raise ValueError("a classical source requires H = 1 exactly")
@@ -203,9 +203,9 @@ def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     two-mode source this reduces to ``gain^2``, the balanced point of unit
     visibility.
     """
-    if gain < 0.0:
+    if not gain >= 0.0:
         raise ValueError(f"feedforward gain must be >= 0, got {gain!r}")
-    if H < 1.0:
+    if not H >= 1.0:
         raise ValueError(f"pump gain must be >= 1, got {H!r}")
     if source not in KINDS:
         raise ValueError(f"unknown source {source!r}")

@@ -61,9 +61,9 @@ class TeleporterSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown teleporter kind {self.kind!r}")
-        if self.gain < 0.0:
+        if not self.gain >= 0.0:
             raise ValueError(f"feedforward gain must be >= 0, got {self.gain!r}")
-        if self.H < 1.0:
+        if not self.H >= 1.0:
             raise ValueError(f"pump gain must be >= 1, got {self.H!r}")
         if self.kind == KIND_CLASSICAL and self.H != 1.0:
             raise ValueError("the classical channel has no squeezing; H must be exactly 1")
@@ -156,7 +156,7 @@ def optimal_gain(H: float) -> float:
     At this point the channel adds no spurious photons and acts as pure
     attenuation with intensity transmission ``optimal_gain(H)**2``.
     """
-    if H < 1.0:
+    if not H >= 1.0:
         raise ValueError(f"pump gain must be >= 1, got {H!r}")
     return math.sqrt((H - 1.0) / H)
 
@@ -171,7 +171,7 @@ def squeezing_to_H(s: float) -> float:
 
 def H_to_squeezing(H: float) -> float:
     """Inverse of :func:`squeezing_to_H`."""
-    if H < 1.0:
+    if not H >= 1.0:
         raise ValueError(f"pump gain must be >= 1, got {H!r}")
     return 1.0 - 1.0 / (math.sqrt(H) + math.sqrt(H - 1.0)) ** 2
 

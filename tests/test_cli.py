@@ -199,6 +199,14 @@ class TestUsageErrors:
             ["sweep", "--gain-min", "1.0", "--gain-max", "0.5"],
             ["sweep", "--steps", "1"],
             ["sweep", "--precision", "0"],
+            ["sweep", "--H", "inf"],
+            ["sweep", "--H", "nan"],
+            ["fidelity", "--H", "nan"],
+            ["lock-curve", "--H", "inf"],
+            ["sweep", "--gain-max", "inf"],
+            ["sweep", "--gain-min", "nan"],
+            ["figure", "fig3", "--gain-min", "-inf"],
+            ["classical-max", "--gain-max", "nan"],
             ["unknown-command"],
         ],
     )
@@ -206,4 +214,6 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert capsys.readouterr().err != ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err

@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_canonical_field, random_qubit
 from mzteleport import (
     FockOperator,
+    KIND_CLASSICAL,
+    KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
+    LAYOUTS,
     ModeRegistry,
     QubitInput,
     Role,
@@ -27,6 +31,39 @@ from mzteleport import (
     photon_flux,
     squeezing_to_H,
 )
+
+
+def dense_flux(field, state, cutoff):
+    """``<psi| M^dag M |psi>`` with ``M`` from :func:`operator_matrix`.
+
+    ``M`` acts on the field's support only. A signal mode outside the
+    support keeps its photon there, so the two polarization components
+    stay orthogonal and only add in intensity; when both signal modes are
+    inside, they superpose.
+    """
+    matrix = operator_matrix(field, cutoff).matrix
+    support = [mode.index for mode in field.support()]
+    sig_h, sig_v = field.registry.signal_pair()
+    images = []
+    for mode, amplitude in ((sig_h, state.x), (sig_v, state.y)):
+        ket = np.zeros((cutoff + 1,) * len(support), dtype=complex)
+        occupation = [0] * len(support)
+        if mode.index in support:
+            occupation[support.index(mode.index)] = 1
+        ket[tuple(occupation)] = amplitude
+        images.append(matrix @ ket.reshape(-1))
+    if sig_h.index in support and sig_v.index in support:
+        images = [images[0] + images[1]]
+    return sum(float(np.vdot(image, image).real) for image in images)
+
+
+def _layout_configs():
+    H = squeezing_to_H(0.6)
+    for layout in LAYOUTS:
+        eta = 0.7 if layout == "b" else None
+        yield ScenarioConfig(layout, KIND_TWO_MODE, 0.8, H, eta)
+        yield ScenarioConfig(layout, KIND_SINGLE_SQUEEZER, 0.8, H, eta)
+        yield ScenarioConfig(layout, KIND_CLASSICAL, 0.8, 1.0, eta)
 
 
 class TestLadderMatrix:
@@ -134,6 +171,59 @@ class TestOracleFlux:
             exact_4 = oracle_flux(field, state, cutoff=4)
             assert exact_3 == pytest.approx(formula, abs=1e-10)
             assert exact_3 == pytest.approx(exact_4, abs=1e-12)
+
+    def test_random_fields_match_dense_operator(self, rng, signal_registry):
+        modes = list(signal_registry)
+        for size in range(1, 7):
+            # A six-mode dense matrix at cutoff 3 is 4096^2 complex entries
+            # (about 270 MB); cutoff 2 already holds the image of a
+            # one-photon-per-mode input exactly.
+            dense_cutoff = 3 if size < 6 else 2
+            for _ in range(6):
+                chosen = [modes[i] for i in rng.choice(len(modes), size=size, replace=False)]
+                field = random_canonical_field(signal_registry, chosen, rng)
+                state = random_qubit(rng)
+                assert oracle_flux(field, state, cutoff=3) == pytest.approx(
+                    dense_flux(field, state, dense_cutoff), rel=1e-12, abs=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "config", list(_layout_configs()), ids=lambda c: f"{c.layout}-{c.source}"
+    )
+    def test_every_layout_field_matches_formula(self, config):
+        outputs = build_scenario(config)
+        state = QubitInput(0.6, 0.8j)
+        for field in outputs.all_fields:
+            formula = photon_flux(field, state)
+            for cutoff in (3, 4, 5):
+                assert oracle_flux(field, state, cutoff) == pytest.approx(formula, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coefficients=st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        order=st.permutations(range(8)),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_property_matches_formula(self, coefficients, order, theta, phi):
+        reg = ModeRegistry()
+        reg.fresh_mode("a_h", Role.SIGNAL_H)
+        reg.fresh_mode("a_v", Role.SIGNAL_V)
+        for i in range(6):
+            reg.fresh_mode(f"m{i}", Role.SQUEEZER_ANCILLA)
+        modes = [reg.mode(i) for i in order]
+        field = field_from_terms(reg, dict(zip(modes, coefficients)))
+        state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+        # The flux is at most sum |u|^2 + 2 sum |v|^2; both routes round relative to it.
+        scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
+        assert abs(oracle_flux(field, state) - photon_flux(field, state)) <= 1e-10 * scale
 
     def test_cutoff_floor(self):
         reg = ModeRegistry()

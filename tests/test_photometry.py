@@ -98,6 +98,10 @@ class TestPortCount:
     def test_counts_validate_sign(self):
         with pytest.raises(ValueError, match="negative"):
             PortCounts(-0.1, 0.2)
+        with pytest.raises(ValueError, match="negative"):
+            PortCounts(math.nan, 1.0)
+        with pytest.raises(ValueError, match="negative"):
+            PortCounts(1.0, math.nan)
 
     @pytest.mark.parametrize(
         "config",

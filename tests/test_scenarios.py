@@ -47,6 +47,12 @@ class TestConfigValidation:
             ScenarioConfig("b", KIND_TWO_MODE, 1.0, 1.125, 1.5)
         ScenarioConfig("b", KIND_TWO_MODE, 1.0, 1.125, ETA_AUTO)
 
+    def test_rejects_nan_gain_and_pump(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            ScenarioConfig("a", KIND_TWO_MODE, math.nan, 1.125)
+        with pytest.raises(ValueError, match=">= 1"):
+            ScenarioConfig("a", KIND_TWO_MODE, 1.0, math.nan)
+
     def test_classical_requires_unit_pump(self):
         with pytest.raises(ValueError, match="H = 1"):
             ScenarioConfig("a", KIND_CLASSICAL, 1.0, 1.125)
@@ -219,6 +225,10 @@ class TestOptimizeEta:
             optimize_eta(-0.1, 1.125)
         with pytest.raises(ValueError, match=">= 1"):
             optimize_eta(0.5, 0.9)
+        with pytest.raises(ValueError, match=">= 0"):
+            optimize_eta(math.nan, 1.2)
+        with pytest.raises(ValueError, match=">= 1"):
+            optimize_eta(0.5, math.nan)
         with pytest.raises(ValueError, match="source"):
             optimize_eta(0.5, 1.125, "epr")
 

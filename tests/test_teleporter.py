@@ -50,6 +50,10 @@ class TestSpec:
             TeleporterSpec(KIND_TWO_MODE, -0.1, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
             TeleporterSpec(KIND_TWO_MODE, 1.0, 0.9)
+        with pytest.raises(ValueError, match=">= 0"):
+            TeleporterSpec(KIND_TWO_MODE, math.nan, 1.0)
+        with pytest.raises(ValueError, match=">= 1"):
+            TeleporterSpec(KIND_TWO_MODE, 1.0, math.nan)
 
     def test_kind_routing_enforced(self):
         _, c, f1, f2 = channel_fixture()
