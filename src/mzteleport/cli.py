@@ -8,9 +8,7 @@ a failure during evaluation, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
 
 from .scenarios import ETA_AUTO, ScenarioConfig, SweepTable, default_gain_grid, sweep_gain
 from .teleporter import (
@@ -35,24 +33,6 @@ _FIGURES = ("fig3", "fig4", "fig5")
 
 SWEEP_HEADER = ("lambda", "count_a", "count_b", "visibility")
 FIDELITY_HEADER = ("source", "squeezing", "H", "fidelity")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated invocation, ready to evaluate."""
-
-    command: str
-    scenario: str
-    source: str
-    H: float
-    gain_min: float
-    gain_max: float
-    steps: int
-    eta: float | str
-    fmt: str
-    out: str | None
-    precision: int
-    figure: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_squeezing_flags(lock)
     _add_grid_flags(lock)
     _add_output_flags(lock)
+    lock.set_defaults(scenario="c", eta=None)
 
     return parser
 
@@ -103,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _to_run_config(parser, args)
+    _resolve(parser, args)
     try:
-        text = _render(config)
-        if config.out is None:
+        text = _render(args)
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(config.out, "w", encoding="ascii", newline="\n") as handle:
+            with open(args.out, "w", encoding="ascii", newline="\n") as handle:
                 handle.write(text)
     except Exception as exc:  # noqa: BLE001 - map any evaluation failure to exit 1
         print(f"mzteleport: error: {exc}", file=sys.stderr)
@@ -155,6 +136,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     _add_squeezing_flags(sub)
     sub.add_argument(
         "--eta",
+        type=_eta_flag,
         default=None,
         help="attenuator transmission for scenario b: 'auto' or a value in [0, 1]",
     )
@@ -168,7 +150,7 @@ def _add_squeezing_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="squeezing fraction in [0, 1); defaults to 0 when --H is absent",
     )
-    group.add_argument("--H", type=float, default=None, help="squeezer pump gain, >= 1")
+    group.add_argument("--H", type=float, default=None, help="squeezer pump gain, finite, >= 1")
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
@@ -185,115 +167,63 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _to_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    source_flag = getattr(args, "source", "two-mode")
-    source = _SOURCE_BY_FLAG[source_flag]
-    if args.command == "classical-max":
-        source = KIND_CLASSICAL
+def _eta_flag(text: str) -> float | str:
+    if text == ETA_AUTO:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or a number, got {text!r}") from None
 
-    squeezing = getattr(args, "squeezing", None)
-    pump_gain = getattr(args, "H", None)
-    if squeezing is not None:
-        if not 0.0 <= squeezing < 1.0:
-            parser.error(f"--squeezing must lie in [0, 1), got {squeezing}")
-        H = squeezing_to_H(squeezing)
-    elif pump_gain is not None:
-        if not (math.isfinite(pump_gain) and pump_gain >= 1.0):
-            parser.error(f"--H must be a finite number >= 1, got {pump_gain}")
-        H = pump_gain
-    else:
-        H = 1.0
-    if source == KIND_CLASSICAL and H != 1.0:
-        parser.error("source 'none' has no squeezer; omit --squeezing/--H or pass --H 1")
 
-    scenario = getattr(args, "scenario", "a")
-    if args.command == "lock-curve":
-        scenario = "c"
+def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Build the library values a command needs onto ``args``.
 
-    eta_flag = getattr(args, "eta", None)
-    if scenario == "b":
-        eta = ETA_AUTO if eta_flag in (None, ETA_AUTO) else _parse_eta(parser, eta_flag)
-    elif eta_flag is not None:
-        parser.error("--eta applies to scenario b only")
-    else:
-        eta = ETA_AUTO  # unused outside scenario b
-
-    gain_min = getattr(args, "gain_min", 0.0)
-    gain_max = getattr(args, "gain_max", 1.5)
-    steps = getattr(args, "steps", 301)
-    if not (math.isfinite(gain_min) and math.isfinite(gain_max)):
-        parser.error(f"--gain-min and --gain-max must be finite, got {gain_min} and {gain_max}")
-    if not gain_min < gain_max:
-        parser.error(f"--gain-min must be below --gain-max, got {gain_min} and {gain_max}")
-    if steps < 2:
-        parser.error(f"--steps must be >= 2, got {steps}")
+    Sets ``grid`` for every command with grid flags, ``config`` for the
+    sweeping commands and ``spec`` for ``fidelity``. The library checks
+    every physical range, so the command line accepts exactly what the
+    library accepts; a value it rejects is a usage error.
+    """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
-
-    return RunConfig(
-        command=args.command,
-        scenario=scenario,
-        source=source,
-        H=H,
-        gain_min=gain_min,
-        gain_max=gain_max,
-        steps=steps,
-        eta=eta,
-        fmt=args.format,
-        out=args.out,
-        precision=args.precision,
-        figure=getattr(args, "name", None),
-    )
-
-
-def _parse_eta(parser: argparse.ArgumentParser, text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        parser.error(f"--eta must be 'auto' or a number, got {text!r}")
-    if not 0.0 <= value <= 1.0:
-        parser.error(f"--eta must lie in [0, 1], got {text}")
-    return value
+        if args.command != "fidelity":
+            args.grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
+        if args.command == "classical-max":
+            args.config = ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0)
+        elif args.command != "figure":
+            source = _SOURCE_BY_FLAG[args.source]
+            H = 1.0 if args.H is None else args.H
+            if args.squeezing is not None:
+                H = squeezing_to_H(args.squeezing)
+            if args.command == "fidelity":
+                args.spec = TeleporterSpec(source, 1.0, H)
+            else:
+                eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
+                args.config = ScenarioConfig(args.scenario, source, 0.0, H, eta)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _render(config: RunConfig) -> str:
-    if config.command in ("sweep", "lock-curve"):
-        table = sweep_gain(_scenario_config(config), _grid(config))
-        return _render_table(table, config)
-    if config.command == "figure":
-        curves = figure_curves(config.figure, config.gain_min, config.gain_max, config.steps)
-        return _render_curves(curves, config)
-    if config.command == "classical-max":
-        table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), _grid(config))
-        peak = table.peak()
-        sep = _separator(config.fmt)
-        header = sep.join(("lambda_max", "visibility_max"))
-        row = sep.join((_fmt(peak.gain, config.precision), _fmt(peak.visibility, config.precision)))
-        return f"{header}\n{row}\n"
-    if config.command == "fidelity":
-        spec = TeleporterSpec(config.source, 1.0, config.H)
-        value = coherent_fidelity(spec)
-        sep = _separator(config.fmt)
-        header = sep.join(FIDELITY_HEADER)
-        row = sep.join(
-            (
-                config.source,
-                _fmt(H_to_squeezing(config.H), config.precision),
-                _fmt(config.H, config.precision),
-                _fmt(value, config.precision),
-            )
-        )
-        return f"{header}\n{row}\n"
-    raise ValueError(f"unknown command {config.command!r}")
+def _render(args: argparse.Namespace) -> str:
+    if args.command in ("sweep", "lock-curve"):
+        return _render_table(sweep_gain(args.config, args.grid), args)
+    if args.command == "figure":
+        curves = figure_curves(args.name, args.gain_min, args.gain_max, args.steps)
+        return _render_curves(curves, args)
+    if args.command == "classical-max":
+        peak = sweep_gain(args.config, args.grid).peak()
+        return _render_line(("lambda_max", "visibility_max"), (peak.gain, peak.visibility), args)
+    spec = args.spec
+    values = (H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec))
+    return _render_line(FIDELITY_HEADER, (spec.kind, *values), args)
 
 
-def _scenario_config(config: RunConfig) -> ScenarioConfig:
-    eta = config.eta if config.scenario == "b" else None
-    return ScenarioConfig(config.scenario, config.source, 0.0, config.H, eta)
-
-
-def _grid(config: RunConfig):
-    return default_gain_grid(config.gain_min, config.gain_max, config.steps)
+def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> str:
+    """A header line and one row; strings pass through, numbers are formatted."""
+    sep = _separator(args.format)
+    cells = (v if isinstance(v, str) else _fmt(v, args.precision) for v in row)
+    return f"{sep.join(header)}\n{sep.join(cells)}\n"
 
 
 def _separator(fmt: str) -> str:
@@ -304,32 +234,32 @@ def _fmt(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
 
 
-def _render_table(table: SweepTable, config: RunConfig) -> str:
-    sep = _separator(config.fmt)
+def _render_table(table: SweepTable, args: argparse.Namespace) -> str:
+    sep = _separator(args.format)
     lines = []
-    if config.fmt == "gnuplot":
+    if args.format == "gnuplot":
         lines.append("# " + " ".join(SWEEP_HEADER))
     else:
         lines.append(sep.join(SWEEP_HEADER))
     for row in table.rows:
-        lines.append(sep.join(_fmt(value, config.precision) for value in row))
+        lines.append(sep.join(_fmt(value, args.precision) for value in row))
     return "\n".join(lines) + "\n"
 
 
-def _render_curves(curves: list[tuple[str, SweepTable]], config: RunConfig) -> str:
-    sep = _separator(config.fmt)
-    if config.fmt == "gnuplot":
+def _render_curves(curves: list[tuple[str, SweepTable]], args: argparse.Namespace) -> str:
+    sep = _separator(args.format)
+    if args.format == "gnuplot":
         blocks = []
         for label, table in curves:
             lines = [f"# {label}", "# " + " ".join(SWEEP_HEADER)]
             for row in table.rows:
-                lines.append(sep.join(_fmt(value, config.precision) for value in row))
+                lines.append(sep.join(_fmt(value, args.precision) for value in row))
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + "\n"
     lines = [sep.join(("curve", *SWEEP_HEADER))]
     for label, table in curves:
         for row in table.rows:
-            lines.append(sep.join((label, *(_fmt(value, config.precision) for value in row))))
+            lines.append(sep.join((label, *(_fmt(value, args.precision) for value in row))))
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,9 @@ __all__ = [
     "single_mode_squeezer",
     "attenuate",
     "quadrature_variances",
+    "check_pump_gain",
+    "check_transmission",
+    "claim_inputs",
 ]
 
 _INV_SQRT2 = math.sqrt(0.5)
@@ -106,7 +109,7 @@ class ModeRegistry:
         )
 
     def claim_fresh(self, *modes: ModeId) -> None:
-        """Consume modes as exclusive vacuum inputs of one element.
+        """Consume distinct modes as exclusive vacuum inputs of one element.
 
         A mode can be claimed once; a second claim means two elements are
         trying to share an ancilla, which the networks forbid.
@@ -117,8 +120,10 @@ class ModeRegistry:
                 raise ValueError(
                     f"mode {mode.label!r} was already consumed as a fresh vacuum input"
                 )
-        for mode in modes:
-            self._claimed.add(mode.index)
+        indices = {mode.index for mode in modes}
+        if len(indices) != len(modes):
+            raise ValueError("an element needs distinct input modes")
+        self._claimed |= indices
 
     def is_claimed(self, mode: ModeId) -> bool:
         self._require_member(mode)
@@ -245,24 +250,43 @@ def beamsplitter(
     return out_sum, out_diff
 
 
+def check_pump_gain(H: float) -> None:
+    """Reject a squeezer pump gain that is not a finite number ``>= 1``."""
+    if not 1.0 <= H < math.inf:
+        raise ValueError(f"pump gain must be finite and >= 1, got {H!r}")
+
+
+def check_transmission(eta: float) -> None:
+    """Reject an intensity transmission outside [0, 1] (NaN included)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmission must lie in [0, 1], got {eta!r}")
+
+
+def claim_inputs(registry: ModeRegistry, role: Role, *modes: ModeId) -> None:
+    """Consume ``modes`` as one element's fresh vacuum inputs on ``registry``.
+
+    Every mode must carry ``role``, belong to ``registry``, appear once,
+    and not have been claimed by another element.
+    """
+    for mode in modes:
+        if mode.role is not role:
+            raise ValueError(
+                f"mode {mode.label!r} has role {mode.role.value!r}; expected {role.value!r}"
+            )
+    registry.claim_fresh(*modes)
+
+
 def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, LinearField]:
     """Entangled pair from two fresh ancillas at pump gain ``H >= 1``.
 
     Returns ``(sqrt(H) f1 + sqrt(H-1) f2^dag, sqrt(H) f2 + sqrt(H-1) f1^dag)``.
     ``H = 1`` is the identity (no entanglement).
     """
-    if not H >= 1.0:
-        raise ValueError(f"pump gain must be >= 1, got {H!r}")
-    if f1.registry is not f2.registry:
-        raise ValueError("ancilla modes belong to different registries")
-    if f1.index == f2.index:
-        raise ValueError("a two-mode squeezer needs two distinct ancilla modes")
-    _require_role(f1, Role.SQUEEZER_ANCILLA)
-    _require_role(f2, Role.SQUEEZER_ANCILLA)
-    f1.registry.claim_fresh(f1, f2)
+    check_pump_gain(H)
+    registry = f1.registry
+    claim_inputs(registry, Role.SQUEEZER_ANCILLA, f1, f2)
     cosh = math.sqrt(H)
     sinh = math.sqrt(H - 1.0)
-    registry = f1.registry
     e1 = field_from_terms(registry, {f1: (cosh, 0.0), f2: (0.0, sinh)})
     e2 = field_from_terms(registry, {f2: (cosh, 0.0), f1: (0.0, sinh)})
     return e1, e2
@@ -270,21 +294,15 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
 
 def single_mode_squeezer(f: ModeId, H: float) -> LinearField:
     """Squeezed beam ``sqrt(H) f + sqrt(H-1) f^dag`` from one fresh ancilla."""
-    if not H >= 1.0:
-        raise ValueError(f"pump gain must be >= 1, got {H!r}")
-    _require_role(f, Role.SQUEEZER_ANCILLA)
-    f.registry.claim_fresh(f)
+    check_pump_gain(H)
+    claim_inputs(f.registry, Role.SQUEEZER_ANCILLA, f)
     return field_from_terms(f.registry, {f: (math.sqrt(H), math.sqrt(H - 1.0))})
 
 
 def attenuate(field_d: LinearField, eta: float, g: ModeId) -> LinearField:
     """Beam attenuation ``sqrt(eta) D + sqrt(1 - eta) g`` with fresh vacuum ``g``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {eta!r}")
-    if g.registry is not field_d.registry:
-        raise ValueError("vacuum mode belongs to a different registry")
-    _require_role(g, Role.ATTENUATOR_VACUUM)
-    g.registry.claim_fresh(g)
+    check_transmission(eta)
+    claim_inputs(field_d.registry, Role.ATTENUATOR_VACUUM, g)
     return combine(math.sqrt(eta), field_d, math.sqrt(1.0 - eta), annihilator_field(g))
 
 
@@ -301,10 +319,3 @@ def quadrature_variances(field: LinearField) -> tuple[float, float]:
         v_x += abs(u + v_conj) ** 2
         v_p += abs(u - v_conj) ** 2
     return v_x, v_p
-
-
-def _require_role(mode: ModeId, role: Role) -> None:
-    if mode.role is not role:
-        raise ValueError(
-            f"mode {mode.label!r} has role {mode.role.value!r}; expected {role.value!r}"
-        )

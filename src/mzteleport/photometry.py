@@ -9,6 +9,7 @@ arrangement a state-blind test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,9 +45,10 @@ class PortCounts:
     count_b: float
 
     def __post_init__(self) -> None:
-        if not (self.count_a >= 0.0 and self.count_b >= 0.0):
+        if not (0.0 <= self.count_a < math.inf and 0.0 <= self.count_b < math.inf):
             raise ValueError(
-                f"photon counts must be non-negative, got {self.count_a!r} and {self.count_b!r}"
+                "photon counts must be finite and non-negative, "
+                f"got {self.count_a!r} and {self.count_b!r}"
             )
 
 

@@ -29,15 +29,16 @@ from .modes import (
     annihilator_field,
     attenuate,
     beamsplitter,
+    check_transmission,
 )
 from .photometry import HORIZONTAL, PortCounts, QubitInput, port_count, visibility
 from .teleporter import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    KINDS,
     TeleporterSpec,
-    noise_amplitudes,
+    _noise_amplitudes,
+    check_channel,
     teleport_single_squeezer,
     teleport_two_mode,
 )
@@ -45,6 +46,7 @@ from .teleporter import (
 __all__ = [
     "ETA_AUTO",
     "LAYOUTS",
+    "MAX_GRID_STEPS",
     "ScenarioConfig",
     "ScenarioOutputs",
     "SweepRow",
@@ -59,6 +61,9 @@ __all__ = [
 
 LAYOUTS = ("a", "b", "c")
 ETA_AUTO = "auto"
+# Largest grid default_gain_grid builds, ten times the benchmark's
+# 100001-point sweep: 8 MB of gains, minutes of evaluation.
+MAX_GRID_STEPS = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -79,19 +84,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        if self.source not in KINDS:
-            raise ValueError(f"unknown source {self.source!r}")
-        if not self.gain >= 0.0:
-            raise ValueError(f"feedforward gain must be >= 0, got {self.gain!r}")
-        if not self.H >= 1.0:
-            raise ValueError(f"pump gain must be >= 1, got {self.H!r}")
-        if self.source == KIND_CLASSICAL and self.H != 1.0:
-            raise ValueError("a classical source requires H = 1 exactly")
+        check_channel(self.source, self.gain, self.H)
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
-            if self.eta != ETA_AUTO and not 0.0 <= float(self.eta) <= 1.0:
-                raise ValueError(f"transmission must lie in [0, 1], got {self.eta!r}")
+            if self.eta != ETA_AUTO:
+                check_transmission(float(self.eta))
         elif self.eta is not None:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 
@@ -173,7 +171,7 @@ def reference_counts(config: ScenarioConfig, state: QubitInput | None = None) ->
     """
     del state
     gain = config.gain
-    creation_amp, _ = noise_amplitudes(config.teleporter())
+    creation_amp, _ = _noise_amplitudes(gain, config.H)
     spurious = creation_amp * creation_amp
     if config.layout == "a":
         noise = _port_noise(config.source, gain, spurious)
@@ -203,13 +201,8 @@ def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     two-mode source this reduces to ``gain^2``, the balanced point of unit
     visibility.
     """
-    if not gain >= 0.0:
-        raise ValueError(f"feedforward gain must be >= 0, got {gain!r}")
-    if not H >= 1.0:
-        raise ValueError(f"pump gain must be >= 1, got {H!r}")
-    if source not in KINDS:
-        raise ValueError(f"unknown source {source!r}")
-    creation_amp = gain * math.sqrt(H) - math.sqrt(H - 1.0)
+    check_channel(source, gain, H)
+    creation_amp, _ = _noise_amplitudes(gain, H)
     noise = _port_noise(source, gain, creation_amp * creation_amp)
     return min(1.0, gain * gain + 4.0 * noise)
 
@@ -279,11 +272,17 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable
 
 
 def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -> np.ndarray:
-    """The standard sweep grid: ``steps`` evenly spaced gains on [start, stop]."""
-    if steps < 2:
-        raise ValueError(f"a gain grid needs at least 2 points, got {steps!r}")
-    if not start < stop:
-        raise ValueError(f"grid needs start < stop, got [{start!r}, {stop!r}]")
+    """The standard sweep grid: ``steps`` evenly spaced gains on [start, stop].
+
+    The ends must be finite and ``2 <= steps <= MAX_GRID_STEPS``; both are
+    checked before any memory is allocated.
+    """
+    if not 2 <= steps <= MAX_GRID_STEPS:
+        raise ValueError(
+            f"a gain grid needs at least 2 and at most {MAX_GRID_STEPS} points, got {steps!r}"
+        )
+    if not -math.inf < start < stop < math.inf:
+        raise ValueError(f"grid needs finite start < stop, got [{start!r}, {stop!r}]")
     return np.linspace(start, stop, steps)
 
 

@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .modes import (
+    _INV_SQRT2,
     LinearField,
     ModeId,
     ModeRegistry,
     Role,
     annihilator_field,
     beamsplitter,
+    check_pump_gain,
+    claim_inputs,
     combine,
     dagger,
     field_from_terms,
@@ -32,6 +35,7 @@ __all__ = [
     "KIND_CLASSICAL",
     "KINDS",
     "TeleporterSpec",
+    "check_channel",
     "noise_amplitudes",
     "teleport_two_mode",
     "teleport_single_squeezer",
@@ -47,7 +51,22 @@ KIND_SINGLE_SQUEEZER = "single-squeezer"
 KIND_CLASSICAL = "classical"
 KINDS = (KIND_TWO_MODE, KIND_SINGLE_SQUEEZER, KIND_CLASSICAL)
 
-_INV_SQRT2 = math.sqrt(0.5)
+
+def check_channel(kind: str, gain: float, H: float) -> None:
+    """Reject a channel operating point outside the physical ranges.
+
+    ``kind`` must be one of :data:`KINDS`, ``gain`` a finite number
+    ``>= 0`` and ``H`` a valid pump gain, exactly 1 for the classical kind.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown source kind {kind!r}; expected one of {KINDS}")
+    if not 0.0 <= gain < math.inf:
+        raise ValueError(f"feedforward gain must be finite and >= 0, got {gain!r}")
+    check_pump_gain(H)
+    if kind == KIND_CLASSICAL and H != 1.0:
+        raise ValueError(
+            f"H must be exactly 1 for a classical source (H = 1 means no squeezing), got {H!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,14 +78,7 @@ class TeleporterSpec:
     H: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown teleporter kind {self.kind!r}")
-        if not self.gain >= 0.0:
-            raise ValueError(f"feedforward gain must be >= 0, got {self.gain!r}")
-        if not self.H >= 1.0:
-            raise ValueError(f"pump gain must be >= 1, got {self.H!r}")
-        if self.kind == KIND_CLASSICAL and self.H != 1.0:
-            raise ValueError("the classical channel has no squeezing; H must be exactly 1")
+        check_channel(self.kind, self.gain, self.H)
 
 
 def noise_amplitudes(spec: TeleporterSpec) -> tuple[float, float]:
@@ -76,9 +88,13 @@ def noise_amplitudes(spec: TeleporterSpec) -> tuple[float, float]:
     creation-side amplitude (spurious photons) and the annihilation-side
     amplitude (vacuum passthrough that keeps the output canonical).
     """
-    root_h = math.sqrt(spec.H)
-    root_h1 = math.sqrt(spec.H - 1.0)
-    return spec.gain * root_h - root_h1, root_h - spec.gain * root_h1
+    return _noise_amplitudes(spec.gain, spec.H)
+
+
+def _noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
+    root_h = math.sqrt(H)
+    root_h1 = math.sqrt(H - 1.0)
+    return gain * root_h - root_h1, root_h - gain * root_h1
 
 
 def teleport_two_mode(
@@ -92,8 +108,8 @@ def teleport_two_mode(
     """
     if spec.kind not in (KIND_TWO_MODE, KIND_CLASSICAL):
         raise ValueError(f"two-mode channel cannot run a {spec.kind!r} spec")
-    _claim_ancillas(c.registry, f1, f2)
-    creation_amp, passthrough_amp = noise_amplitudes(spec)
+    claim_inputs(c.registry, Role.SQUEEZER_ANCILLA, f1, f2)
+    creation_amp, passthrough_amp = _noise_amplitudes(spec.gain, spec.H)
     noise = field_from_terms(
         c.registry,
         {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)},
@@ -113,8 +129,8 @@ def teleport_single_squeezer(
     """
     if spec.kind != KIND_SINGLE_SQUEEZER:
         raise ValueError(f"single-squeezer channel cannot run a {spec.kind!r} spec")
-    _claim_ancillas(c.registry, f1, f2)
-    creation_amp, passthrough_amp = noise_amplitudes(spec)
+    claim_inputs(c.registry, Role.SQUEEZER_ANCILLA, f1, f2)
+    creation_amp, passthrough_amp = _noise_amplitudes(spec.gain, spec.H)
     noise = field_from_terms(
         c.registry,
         {
@@ -156,8 +172,7 @@ def optimal_gain(H: float) -> float:
     At this point the channel adds no spurious photons and acts as pure
     attenuation with intensity transmission ``optimal_gain(H)**2``.
     """
-    if not H >= 1.0:
-        raise ValueError(f"pump gain must be >= 1, got {H!r}")
+    check_pump_gain(H)
     return math.sqrt((H - 1.0) / H)
 
 
@@ -171,8 +186,7 @@ def squeezing_to_H(s: float) -> float:
 
 def H_to_squeezing(H: float) -> float:
     """Inverse of :func:`squeezing_to_H`."""
-    if not H >= 1.0:
-        raise ValueError(f"pump gain must be >= 1, got {H!r}")
+    check_pump_gain(H)
     return 1.0 - 1.0 / (math.sqrt(H) + math.sqrt(H - 1.0)) ** 2
 
 
@@ -197,17 +211,3 @@ def coherent_fidelity(spec: TeleporterSpec) -> float:
     added_noise = combine(1.0, output, -spec.gain, probe)
     v_x, v_p = quadrature_variances(added_noise)
     return 2.0 / math.sqrt((2.0 + v_x) * (2.0 + v_p))
-
-
-def _claim_ancillas(registry: ModeRegistry, f1: ModeId, f2: ModeId) -> None:
-    for mode in (f1, f2):
-        if mode.registry is not registry:
-            raise ValueError("ancilla modes belong to a different registry")
-        if mode.role is not Role.SQUEEZER_ANCILLA:
-            raise ValueError(
-                f"mode {mode.label!r} has role {mode.role.value!r}; expected "
-                f"{Role.SQUEEZER_ANCILLA.value!r}"
-            )
-    if f1.index == f2.index:
-        raise ValueError("a teleporter needs two distinct ancilla modes")
-    registry.claim_fresh(f1, f2)

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzteleport import (
+    ETA_AUTO,
+    KIND_CLASSICAL,
+    KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     ScenarioConfig,
     default_gain_grid,
+    squeezing_to_H,
     sweep_gain,
 )
 from mzteleport.cli import figure_curves, main
+from mzteleport.scenarios import MAX_GRID_STEPS
 
 SWEEP_HEADER = "lambda,count_a,count_b,visibility"
 
@@ -207,6 +216,10 @@ class TestUsageErrors:
             ["sweep", "--gain-min", "nan"],
             ["figure", "fig3", "--gain-min", "-inf"],
             ["classical-max", "--gain-max", "nan"],
+            ["sweep", "--steps", "2000000"],
+            ["sweep", "--scenario", "b", "--eta", "inf"],
+            ["sweep", "--scenario", "b", "--eta", "nan"],
+            ["sweep", "--H", "1e400"],
             ["unknown-command"],
         ],
     )
@@ -217,3 +230,52 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage:" in captured.err
+
+    # None omits the flag; the rest mixes plausible values with any float.
+    _values = st.one_of(
+        st.none(),
+        st.sampled_from((0.0, 0.5, 1.0, 1.5, math.nan, math.inf)),
+        st.floats(),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scenario=st.sampled_from(("a", "b", "c")),
+        source=st.sampled_from(("two-mode", "single", "none")),
+        pump=st.tuples(st.sampled_from(("--H", "--squeezing")), _values),
+        eta=st.one_of(st.none(), st.just(ETA_AUTO), _values),
+        gain_min=_values,
+        gain_max=_values,
+        # Valid step counts first: hypothesis draws early elements more often.
+        steps=st.sampled_from((2, 3, 1, MAX_GRID_STEPS + 1)),
+    )
+    def test_exit_2_exactly_when_library_rejects(
+        self, scenario, source, pump, eta, gain_min, gain_max, steps
+    ):
+        flags = {"--gain-min": gain_min, "--gain-max": gain_max, pump[0]: pump[1], "--eta": eta}
+        argv = ["sweep", f"--scenario={scenario}", f"--source={source}", f"--steps={steps}"]
+        argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        kind = {"two-mode": KIND_TWO_MODE, "single": KIND_SINGLE_SQUEEZER, "none": KIND_CLASSICAL}
+        try:
+            default_gain_grid(
+                0.0 if gain_min is None else gain_min, 1.5 if gain_max is None else gain_max, steps
+            )
+            H = 1.0
+            if pump[1] is not None:
+                H = squeezing_to_H(pump[1]) if pump[0] == "--squeezing" else pump[1]
+            if scenario == "b" and eta is None:
+                eta = ETA_AUTO
+            ScenarioConfig(scenario, kind[source], 0.0, H, eta)
+            rejected = False
+        except ValueError:
+            rejected = True
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert (code == 2) == rejected
+        if rejected:
+            assert out.getvalue() == ""
+            assert "usage:" in err.getvalue()

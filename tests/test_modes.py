@@ -250,8 +250,9 @@ class TestSqueezers:
         reg = fresh_registry()
         f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
         f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
-        with pytest.raises(ValueError, match=">= 1"):
-            two_mode_squeezer(f1, f2, 0.5)
+        for H in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=">= 1"):
+                two_mode_squeezer(f1, f2, H)
         with pytest.raises(ValueError, match="distinct"):
             two_mode_squeezer(f1, f1, 2.0)
         two_mode_squeezer(f1, f2, 2.0)
@@ -273,8 +274,9 @@ class TestSqueezers:
         f = reg.fresh_mode("f", Role.SQUEEZER_ANCILLA)
         assert single_mode_squeezer(f, 1.0) == annihilator_field(f)
         g = reg.fresh_mode("g", Role.SQUEEZER_ANCILLA)
-        with pytest.raises(ValueError, match=">= 1"):
-            single_mode_squeezer(g, 0.99)
+        for H in (0.99, math.nan, math.inf):
+            with pytest.raises(ValueError, match=">= 1"):
+                single_mode_squeezer(g, H)
 
 
 class TestAttenuator:
@@ -308,6 +310,8 @@ class TestAttenuator:
             attenuate(d, 1.2, g)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             attenuate(d, -0.1, g)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            attenuate(d, math.nan, g)
 
     def test_role_enforced(self):
         reg = fresh_registry()

@@ -102,6 +102,10 @@ class TestPortCount:
             PortCounts(math.nan, 1.0)
         with pytest.raises(ValueError, match="negative"):
             PortCounts(1.0, math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            PortCounts(math.inf, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PortCounts(1.0, math.inf)
 
     @pytest.mark.parametrize(
         "config",

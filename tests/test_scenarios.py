@@ -26,6 +26,7 @@ from mzteleport import (
     sweep_gain,
     visibility,
 )
+from mzteleport.scenarios import MAX_GRID_STEPS
 
 GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
 SQUEEZING_GRID = [0.0, 0.5, 0.9]
@@ -52,6 +53,10 @@ class TestConfigValidation:
             ScenarioConfig("a", KIND_TWO_MODE, math.nan, 1.125)
         with pytest.raises(ValueError, match=">= 1"):
             ScenarioConfig("a", KIND_TWO_MODE, 1.0, math.nan)
+        with pytest.raises(ValueError, match=">= 0"):
+            ScenarioConfig("a", KIND_TWO_MODE, math.inf, 1.125)
+        with pytest.raises(ValueError, match=">= 1"):
+            ScenarioConfig("a", KIND_TWO_MODE, 1.0, math.inf)
 
     def test_classical_requires_unit_pump(self):
         with pytest.raises(ValueError, match="H = 1"):
@@ -229,6 +234,10 @@ class TestOptimizeEta:
             optimize_eta(math.nan, 1.2)
         with pytest.raises(ValueError, match=">= 1"):
             optimize_eta(0.5, math.nan)
+        with pytest.raises(ValueError, match=">= 0"):
+            optimize_eta(math.inf, 1.2)
+        with pytest.raises(ValueError, match=">= 1"):
+            optimize_eta(0.5, math.inf)
         with pytest.raises(ValueError, match="source"):
             optimize_eta(0.5, 1.125, "epr")
 
@@ -319,6 +328,11 @@ class TestSweep:
             default_gain_grid(0.0, 1.5, 1)
         with pytest.raises(ValueError, match="start < stop"):
             default_gain_grid(1.5, 1.5, 10)
+        for start, stop in ((0.0, math.inf), (-math.inf, 1.5), (math.nan, 1.5)):
+            with pytest.raises(ValueError, match="finite start < stop"):
+                default_gain_grid(start, stop, 10)
+        with pytest.raises(ValueError, match="at most"):
+            default_gain_grid(0.0, 1.5, MAX_GRID_STEPS + 1)
 
     def test_input_state_argument(self):
         config = ScenarioConfig("a", KIND_TWO_MODE, 0.7, 1.125)

@@ -54,6 +54,10 @@ class TestSpec:
             TeleporterSpec(KIND_TWO_MODE, math.nan, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
             TeleporterSpec(KIND_TWO_MODE, 1.0, math.nan)
+        with pytest.raises(ValueError, match=">= 0"):
+            TeleporterSpec(KIND_TWO_MODE, math.inf, 1.0)
+        with pytest.raises(ValueError, match=">= 1"):
+            TeleporterSpec(KIND_TWO_MODE, 1.0, math.inf)
 
     def test_kind_routing_enforced(self):
         _, c, f1, f2 = channel_fixture()
@@ -195,6 +199,9 @@ class TestOperatingPoints:
     def test_optimal_gain_values(self):
         assert optimal_gain(1.0) == 0.0
         assert optimal_gain(1.125) == 1 / 3
+        for H in (0.9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=">= 1"):
+                optimal_gain(H)
 
     @pytest.mark.parametrize("H", [1.0, 1.125, 2.53125, 3.025, 10.0])
     def test_optimal_gain_zeroes_creation_amplitude(self, H):
@@ -211,6 +218,9 @@ class TestOperatingPoints:
             squeezing_to_H(1.0)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             squeezing_to_H(-0.25)
+        for H in (0.9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=">= 1"):
+                H_to_squeezing(H)
 
     @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.75, 0.875, 0.9, 0.9999])
     def test_conversion_roundtrip(self, s):
