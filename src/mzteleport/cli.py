@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
+from typing import Iterable, Iterator, TextIO
 
 from .scenarios import ETA_AUTO, ScenarioConfig, SweepTable, default_gain_grid, sweep_gain
 from .teleporter import (
@@ -33,6 +35,10 @@ _FIGURES = ("fig3", "fig4", "fig5")
 
 SWEEP_HEADER = ("lambda", "count_a", "count_b", "visibility")
 FIDELITY_HEADER = ("source", "squeezing", "H", "fidelity")
+
+# Lines joined into one write: a few hundred kB, so memory stays flat in
+# the table length while the writes stay few.
+WRITE_BLOCK_LINES = 4096
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,12 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _resolve(parser, args)
     try:
-        text = _render(args)
+        lines = _render(args)
         if args.out is None:
-            sys.stdout.write(text)
+            _write_blocks(sys.stdout, lines)
         else:
             with open(args.out, "w", encoding="ascii", newline="\n") as handle:
-                handle.write(text)
+                _write_blocks(handle, lines)
     except Exception as exc:  # noqa: BLE001 - map any evaluation failure to exit 1
         print(f"mzteleport: error: {exc}", file=sys.stderr)
         return 1
@@ -205,7 +211,12 @@ def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
         parser.error(str(exc))
 
 
-def _render(args: argparse.Namespace) -> str:
+def _render(args: argparse.Namespace) -> Iterable[str]:
+    """Evaluate the command, then return its output lines, each ending in a newline.
+
+    Every table is complete before this returns; only the formatting is
+    left to the returned iterator, so an evaluation failure writes nothing.
+    """
     if args.command in ("sweep", "lock-curve"):
         return _render_table(sweep_gain(args.config, args.grid), args)
     if args.command == "figure":
@@ -219,11 +230,18 @@ def _render(args: argparse.Namespace) -> str:
     return _render_line(FIDELITY_HEADER, (spec.kind, *values), args)
 
 
-def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> str:
+def _write_blocks(stream: TextIO, lines: Iterable[str]) -> None:
+    """Write ``lines`` in blocks of :data:`WRITE_BLOCK_LINES`."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, WRITE_BLOCK_LINES)):
+        stream.write(block)
+
+
+def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> list[str]:
     """A header line and one row; strings pass through, numbers are formatted."""
     sep = _separator(args.format)
     cells = (v if isinstance(v, str) else _fmt(v, args.precision) for v in row)
-    return f"{sep.join(header)}\n{sep.join(cells)}\n"
+    return [sep.join(header) + "\n", sep.join(cells) + "\n"]
 
 
 def _separator(fmt: str) -> str:
@@ -234,33 +252,38 @@ def _fmt(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
 
 
-def _render_table(table: SweepTable, args: argparse.Namespace) -> str:
+def _render_table(table: SweepTable, args: argparse.Namespace) -> Iterator[str]:
     sep = _separator(args.format)
-    lines = []
     if args.format == "gnuplot":
-        lines.append("# " + " ".join(SWEEP_HEADER))
+        yield "# " + " ".join(SWEEP_HEADER) + "\n"
     else:
-        lines.append(sep.join(SWEEP_HEADER))
-    for row in table.rows:
-        lines.append(sep.join(_fmt(value, args.precision) for value in row))
-    return "\n".join(lines) + "\n"
+        yield sep.join(SWEEP_HEADER) + "\n"
+    yield from _row_lines(table, sep, args.precision)
 
 
-def _render_curves(curves: list[tuple[str, SweepTable]], args: argparse.Namespace) -> str:
-    sep = _separator(args.format)
+def _render_curves(
+    curves: list[tuple[str, SweepTable]], args: argparse.Namespace
+) -> Iterator[str]:
     if args.format == "gnuplot":
-        blocks = []
-        for label, table in curves:
-            lines = [f"# {label}", "# " + " ".join(SWEEP_HEADER)]
-            for row in table.rows:
-                lines.append(sep.join(_fmt(value, args.precision) for value in row))
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
-    lines = [sep.join(("curve", *SWEEP_HEADER))]
+        for index, (label, table) in enumerate(curves):
+            if index:
+                yield "\n"
+            yield f"# {label}\n"
+            yield from _render_table(table, args)
+        return
+    sep = _separator(args.format)
+    yield sep.join(("curve", *SWEEP_HEADER)) + "\n"
     for label, table in curves:
-        for row in table.rows:
-            lines.append(sep.join((label, *(_fmt(value, args.precision) for value in row))))
-    return "\n".join(lines) + "\n"
+        yield from _row_lines(table, sep, args.precision, label + sep)
+
+
+def _row_lines(
+    table: SweepTable, sep: str, precision: int, prefix: str = ""
+) -> Iterator[str]:
+    """One line per row, each number as :func:`_fmt` writes it."""
+    line = sep.join([f"{{:.{precision}g}}"] * 4) + "\n"
+    for row in zip(table.gains, table.count_a, table.count_b, table.visibility):
+        yield prefix + line.format(*row)
 
 
 if __name__ == "__main__":

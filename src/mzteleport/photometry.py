@@ -81,11 +81,18 @@ def port_count(
     port_b: Iterable[LinearField],
     state: QubitInput,
 ) -> PortCounts:
-    """Counts at both ports: per-polarization fluxes summed per port."""
-    return PortCounts(
-        sum(photon_flux(field, state) for field in port_a),
-        sum(photon_flux(field, state) for field in port_b),
-    )
+    """Counts at both ports: per-polarization fluxes summed per port.
+
+    Every flux is a sum of squared magnitudes, so a count that is not
+    finite (inf, or nan once an overflowed coefficient meets a zero
+    amplitude) can only come from overflow. It raises ``OverflowError``,
+    as an overflowing ``** 2`` in :func:`photon_flux` does.
+    """
+    count_a = sum(photon_flux(field, state) for field in port_a)
+    count_b = sum(photon_flux(field, state) for field in port_b)
+    if not (math.isfinite(count_a) and math.isfinite(count_b)):
+        raise OverflowError(f"photon counts overflowed to {count_a!r} and {count_b!r}")
+    return PortCounts(count_a, count_b)
 
 
 def visibility(counts: PortCounts) -> float:

@@ -17,7 +17,9 @@ and per polarization.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -216,30 +218,43 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A gain sweep of one scenario: rows plus the settings that made them."""
+    """A gain sweep of one scenario: four float64 columns, one entry per
+    gain point, plus the settings that made them."""
 
     layout: str
     source: str
     H: float
     eta_policy: str
-    rows: tuple[SweepRow, ...]
+    gains: array
+    count_a: array
+    count_b: array
+    visibility: array
 
     def __post_init__(self) -> None:
-        gains = [row.gain for row in self.rows]
-        if any(b <= a for a, b in zip(gains, gains[1:])):
+        columns = (self.gains, self.count_a, self.count_b, self.visibility)
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("sweep columns must have equal lengths")
+        if any(b <= a for a, b in pairwise(self.gains)):
             raise ValueError("sweep rows must be strictly increasing in gain")
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """The table row by row, built on each access."""
+        return tuple(map(SweepRow, self.gains, self.count_a, self.count_b, self.visibility))
 
     def peak(self) -> SweepRow:
         """The row of maximum visibility (earliest gain on ties)."""
-        best: SweepRow | None = None
-        for row in self.rows:
-            if math.isnan(row.visibility):
+        best: int | None = None
+        for k, fringe in enumerate(self.visibility):
+            if math.isnan(fringe):
                 continue
-            if best is None or row.visibility > best.visibility:
-                best = row
+            if best is None or fringe > self.visibility[best]:
+                best = k
         if best is None:
             raise ValueError("sweep contains no row with defined visibility")
-        return best
+        return SweepRow(
+            self.gains[best], self.count_a[best], self.count_b[best], self.visibility[best]
+        )
 
 
 def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable:
@@ -248,34 +263,45 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable
     ``config.gain`` is replaced row by row; an ``eta = "auto"`` setting is
     re-optimized at every gain. A row whose ports are both exactly dark
     (possible only at gain 0 with no squeezing) records NaN visibility.
+    A count that overflows the float range raises ``OverflowError``
+    naming the gain of its row.
     """
-    gains = [float(g) for g in gain_grid]
+    gains = array("d", map(float, gain_grid))
     if not gains:
         raise ValueError("gain grid is empty")
-    if any(b <= a for a, b in zip(gains, gains[1:])):
+    if any(b <= a for a, b in pairwise(gains)):
         raise ValueError("gain grid must be strictly increasing")
-    rows = []
+    count_a, count_b, fringes = array("d"), array("d"), array("d")
     for gain in gains:
-        counts = evaluate_counts(replace(config, gain=gain))
+        try:
+            counts = evaluate_counts(replace(config, gain=gain))
+        except OverflowError as exc:
+            raise OverflowError(f"a photon count overflowed at gain {gain!r}") from exc
         try:
             fringe = visibility(counts)
         except ValueError:
             fringe = math.nan
-        rows.append(SweepRow(gain, counts.count_a, counts.count_b, fringe))
+        count_a.append(counts.count_a)
+        count_b.append(counts.count_b)
+        fringes.append(fringe)
     if config.eta is None:
         eta_policy = "none"
     elif config.eta == ETA_AUTO:
         eta_policy = ETA_AUTO
     else:
         eta_policy = format(float(config.eta), "g")
-    return SweepTable(config.layout, config.source, config.H, eta_policy, tuple(rows))
+    return SweepTable(
+        config.layout, config.source, config.H, eta_policy, gains, count_a, count_b, fringes
+    )
 
 
 def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -> np.ndarray:
     """The standard sweep grid: ``steps`` evenly spaced gains on [start, stop].
 
-    The ends must be finite and ``2 <= steps <= MAX_GRID_STEPS``; both are
-    checked before any memory is allocated.
+    The ends and their distance must be finite and ``2 <= steps <=
+    MAX_GRID_STEPS``; these are checked before any memory is allocated.
+    A step below the float resolution at the ends, which would repeat a
+    gain, is rejected too.
     """
     if not 2 <= steps <= MAX_GRID_STEPS:
         raise ValueError(
@@ -283,7 +309,15 @@ def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -
         )
     if not -math.inf < start < stop < math.inf:
         raise ValueError(f"grid needs finite start < stop, got [{start!r}, {stop!r}]")
-    return np.linspace(start, stop, steps)
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid span from {start!r} to {stop!r} overflows a float")
+    grid = np.linspace(start, stop, steps)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError(
+            f"grid step is below float resolution: {steps} points on "
+            f"[{start!r}, {stop!r}] are not strictly increasing"
+        )
+    return grid
 
 
 def _teleport_arm(

@@ -20,7 +20,7 @@ from mzteleport import (
     squeezing_to_H,
     sweep_gain,
 )
-from mzteleport.cli import figure_curves, main
+from mzteleport.cli import WRITE_BLOCK_LINES, _write_blocks, figure_curves, main
 from mzteleport.scenarios import MAX_GRID_STEPS
 
 SWEEP_HEADER = "lambda,count_a,count_b,visibility"
@@ -105,6 +105,29 @@ class TestSweepCommand:
         content = path.read_text()
         assert content.splitlines()[0] == SWEEP_HEADER
         assert len(content.splitlines()) == 4
+
+    def test_evaluation_failure_writes_nothing(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        argv = ["sweep", "--gain-max", "1e200", "--steps", "2", "--out", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "mzteleport: error: a photon count overflowed at gain 1e+200\n"
+        assert not path.exists()
+
+    def test_output_is_written_in_blocks(self):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        lines = [f"{k}\n" for k in range(2 * WRITE_BLOCK_LINES + 1)]
+        stream = Recorder()
+        _write_blocks(stream, iter(lines))
+        assert len(stream.writes) == 3
+        assert "".join(stream.writes) == "".join(lines)
 
 
 class TestFigureCommand:
@@ -220,6 +243,8 @@ class TestUsageErrors:
             ["sweep", "--scenario", "b", "--eta", "inf"],
             ["sweep", "--scenario", "b", "--eta", "nan"],
             ["sweep", "--H", "1e400"],
+            ["sweep", "--gain-min=-1e308", "--gain-max", "1e308"],
+            ["sweep", "--gain-min", "1", "--gain-max", "1.000000000000001", "--steps", "100"],
             ["unknown-command"],
         ],
     )

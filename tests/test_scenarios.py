@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzteleport import (
     ETA_AUTO,
@@ -14,6 +18,8 @@ from mzteleport import (
     KIND_TWO_MODE,
     QubitInput,
     ScenarioConfig,
+    SweepRow,
+    SweepTable,
     build_scenario,
     commutator,
     default_gain_grid,
@@ -333,6 +339,78 @@ class TestSweep:
                 default_gain_grid(start, stop, 10)
         with pytest.raises(ValueError, match="at most"):
             default_gain_grid(0.0, 1.5, MAX_GRID_STEPS + 1)
+        with pytest.raises(ValueError, match="overflows"):
+            default_gain_grid(-1e308, 1e308, 3)
+        with pytest.raises(ValueError, match="below float resolution"):
+            default_gain_grid(1.0, 1.000000000000001, 100)
+
+    @pytest.mark.parametrize(
+        "config, gain",
+        [
+            # A squared magnitude overflows in photon_flux.
+            (ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), 1e200),
+            # A sum of fluxes overflows to inf.
+            (ScenarioConfig("c", KIND_CLASSICAL, 0.0, 1.0), 1e154),
+            # An overflowed coefficient turns a flux into nan.
+            (ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1e100), 1e300),
+        ],
+    )
+    def test_overflow_names_the_gain(self, config, gain):
+        message = re.escape(f"photon count overflowed at gain {gain!r}")
+        with pytest.raises(OverflowError, match=message):
+            sweep_gain(config, [0.5, gain])
+
+    def test_columns_must_match(self):
+        column = array("d", [0.0, 0.5])
+        with pytest.raises(ValueError, match="equal lengths"):
+            SweepTable("a", KIND_CLASSICAL, 1.0, "none", column, column, column, column[:1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepTable("a", KIND_CLASSICAL, 1.0, "none", column[::-1], column, column, column)
+
+    def test_peak_prefers_earliest_tie(self):
+        gains = array("d", [0.0, 0.5, 1.0, 1.5])
+        fringes = array("d", [math.nan, 0.5, 0.5, 0.25])
+        table = SweepTable("a", KIND_CLASSICAL, 1.0, "none", gains, gains, gains, fringes)
+        assert table.peak() == SweepRow(0.5, 0.5, 0.5, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(("a", "b", "c")),
+        source=st.sampled_from((KIND_TWO_MODE, KIND_SINGLE_SQUEEZER, KIND_CLASSICAL)),
+        squeezing=st.sampled_from((0.0, 0.5, 0.9)),
+        eta=st.one_of(st.just(ETA_AUTO), st.floats(0.0, 1.0)),
+        # Grids from 0 reach the dark origin of layout c without squeezing.
+        start=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        width=st.floats(0.01, 1.5),
+        steps=st.integers(2, 6),
+    )
+    def test_columns_match_pointwise_evaluation(
+        self, layout, source, squeezing, eta, start, width, steps
+    ):
+        H = 1.0 if source == KIND_CLASSICAL else squeezing_to_H(squeezing)
+        config = ScenarioConfig(layout, source, 0.0, H, eta if layout == "b" else None)
+        grid = default_gain_grid(start, start + width, steps)
+        table = sweep_gain(config, grid)
+        expected = []
+        for gain in grid:
+            counts = evaluate_counts(ScenarioConfig(layout, source, float(gain), H, config.eta))
+            dark = counts.count_a + counts.count_b == 0.0
+            fringe = math.nan if dark else visibility(counts)
+            expected.append(SweepRow(float(gain), counts.count_a, counts.count_b, fringe))
+        rows = table.rows
+        assert len(rows) == steps
+        for row, want in zip(rows, expected):
+            assert row[:3] == want[:3]
+            assert row.visibility == want.visibility or (
+                math.isnan(row.visibility) and math.isnan(want.visibility)
+            )
+        defined = [row for row in rows if not math.isnan(row.visibility)]
+        if defined:
+            # max keeps the first of equal rows: the earliest gain on ties.
+            assert table.peak() == max(defined, key=lambda row: row.visibility)
+        else:
+            with pytest.raises(ValueError, match="no row"):
+                table.peak()
 
     def test_input_state_argument(self):
         config = ScenarioConfig("a", KIND_TWO_MODE, 0.7, 1.125)
