@@ -5,33 +5,18 @@ fringe visibility of a Mach-Zehnder interferometer fed with a
 single-photon polarization qubit when one or both arms pass through a
 continuous-variable teleporter. A truncated-Fock oracle recomputes every
 expectation value by an independent route, and a CLI emits sweep tables.
+
+The names below are the public surface: the scenarios and sweeps, the
+channel parameters, the count evaluation, and the independent routes
+(``reference_counts``, ``oracle_flux``, ``teleport_composed``). The mode
+algebra and the other internals are imported from their submodules.
 """
 
-from .fock import FockOperator, ladder_matrix, operator_matrix, oracle_flux
-from .modes import (
-    LinearField,
-    ModeId,
-    ModeRegistry,
-    Role,
-    annihilator_field,
-    attenuate,
-    beamsplitter,
-    combine,
-    commutator,
-    creator_field,
-    dagger,
-    field_from_terms,
-    quadrature_variances,
-    single_mode_squeezer,
-    two_mode_squeezer,
-)
+from .fock import oracle_flux
 from .photometry import HORIZONTAL, PortCounts, QubitInput, photon_flux, port_count, visibility
 from .scenarios import (
     ETA_AUTO,
-    LAYOUTS,
     ScenarioConfig,
-    ScenarioOutputs,
-    SweepRow,
     SweepTable,
     build_scenario,
     default_gain_grid,
@@ -44,60 +29,19 @@ from .teleporter import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    KINDS,
     TeleporterSpec,
     H_to_squeezing,
     coherent_fidelity,
-    noise_amplitudes,
     optimal_gain,
     squeezing_to_H,
     teleport_composed,
-    teleport_single_squeezer,
-    teleport_two_mode,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Role",
-    "ModeId",
-    "ModeRegistry",
-    "LinearField",
-    "annihilator_field",
-    "creator_field",
-    "field_from_terms",
-    "combine",
-    "dagger",
-    "commutator",
-    "beamsplitter",
-    "two_mode_squeezer",
-    "single_mode_squeezer",
-    "attenuate",
-    "quadrature_variances",
-    "KIND_TWO_MODE",
-    "KIND_SINGLE_SQUEEZER",
-    "KIND_CLASSICAL",
-    "KINDS",
-    "TeleporterSpec",
-    "noise_amplitudes",
-    "teleport_two_mode",
-    "teleport_single_squeezer",
-    "teleport_composed",
-    "optimal_gain",
-    "squeezing_to_H",
-    "H_to_squeezing",
-    "coherent_fidelity",
-    "QubitInput",
-    "HORIZONTAL",
-    "PortCounts",
-    "photon_flux",
-    "port_count",
-    "visibility",
-    "ETA_AUTO",
-    "LAYOUTS",
     "ScenarioConfig",
-    "ScenarioOutputs",
-    "SweepRow",
+    "ETA_AUTO",
     "SweepTable",
     "build_scenario",
     "evaluate_counts",
@@ -105,9 +49,21 @@ __all__ = [
     "optimize_eta",
     "sweep_gain",
     "default_gain_grid",
-    "FockOperator",
-    "ladder_matrix",
-    "operator_matrix",
+    "TeleporterSpec",
+    "KIND_TWO_MODE",
+    "KIND_SINGLE_SQUEEZER",
+    "KIND_CLASSICAL",
+    "optimal_gain",
+    "squeezing_to_H",
+    "H_to_squeezing",
+    "coherent_fidelity",
+    "teleport_composed",
+    "QubitInput",
+    "HORIZONTAL",
+    "PortCounts",
+    "photon_flux",
+    "port_count",
+    "visibility",
     "oracle_flux",
     "__version__",
 ]

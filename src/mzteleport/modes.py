@@ -20,7 +20,6 @@ __all__ = [
     "ModeRegistry",
     "LinearField",
     "annihilator_field",
-    "creator_field",
     "field_from_terms",
     "combine",
     "dagger",
@@ -101,13 +100,6 @@ class ModeRegistry:
     def mode(self, index: int) -> ModeId:
         return self._modes[index]
 
-    def contains(self, mode: ModeId) -> bool:
-        return (
-            mode.registry is self
-            and 0 <= mode.index < len(self._modes)
-            and self._modes[mode.index] is mode
-        )
-
     def claim_fresh(self, *modes: ModeId) -> None:
         """Consume distinct modes as exclusive vacuum inputs of one element.
 
@@ -125,10 +117,6 @@ class ModeRegistry:
             raise ValueError("an element needs distinct input modes")
         self._claimed |= indices
 
-    def is_claimed(self, mode: ModeId) -> bool:
-        self._require_member(mode)
-        return mode.index in self._claimed
-
     def signal_pair(self) -> tuple[ModeId, ModeId]:
         """The (horizontal, vertical) signal modes; error if either is missing."""
         found: dict[Role, ModeId] = {}
@@ -141,7 +129,12 @@ class ModeRegistry:
             raise ValueError("registry has no signal mode pair") from exc
 
     def _require_member(self, mode: ModeId) -> None:
-        if not self.contains(mode):
+        """Reject a mode this registry did not allocate."""
+        if not (
+            mode.registry is self
+            and 0 <= mode.index < len(self._modes)
+            and self._modes[mode.index] is mode
+        ):
             raise ValueError(f"mode {mode.label!r} is not registered here")
 
 
@@ -157,14 +150,9 @@ class LinearField:
     registry: ModeRegistry
     terms: dict[int, tuple[complex, complex]]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, mode: ModeId) -> tuple[complex, complex]:
         """The (annihilator, creator) coefficient pair carried on ``mode``."""
-        if not self.registry.contains(mode):
-            raise ValueError(f"mode {mode.label!r} is not registered here")
+        self.registry._require_member(mode)
         return self.terms.get(mode.index, _ZERO_TERM)
 
     def support(self) -> tuple[ModeId, ...]:
@@ -178,8 +166,7 @@ def field_from_terms(
     """Build a field directly from per-mode coefficient pairs."""
     pruned: dict[int, tuple[complex, complex]] = {}
     for mode, (u, v) in sorted(terms.items(), key=lambda item: item[0].index):
-        if not registry.contains(mode):
-            raise ValueError(f"mode {mode.label!r} is not registered here")
+        registry._require_member(mode)
         if u != 0 or v != 0:
             pruned[mode.index] = (u, v)
     return LinearField(registry, pruned)
@@ -187,15 +174,8 @@ def field_from_terms(
 
 def annihilator_field(mode: ModeId) -> LinearField:
     """The bare input operator of ``mode`` as a field."""
-    registry = mode.registry
-    if not registry.contains(mode):
-        raise ValueError(f"mode {mode.label!r} is not registered here")
-    return LinearField(registry, {mode.index: (1.0 + 0j, 0j)})
-
-
-def creator_field(mode: ModeId) -> LinearField:
-    """The bare creation operator of ``mode`` as a field."""
-    return dagger(annihilator_field(mode))
+    mode.registry._require_member(mode)
+    return LinearField(mode.registry, {mode.index: (1.0 + 0j, 0j)})
 
 
 def combine(

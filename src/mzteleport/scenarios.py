@@ -33,14 +33,14 @@ from .modes import (
     beamsplitter,
     check_transmission,
 )
-from .photometry import HORIZONTAL, PortCounts, QubitInput, port_count, visibility
+from .photometry import HORIZONTAL, PortCounts, port_count, visibility
 from .teleporter import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     TeleporterSpec,
-    _noise_amplitudes,
     check_channel,
+    noise_amplitudes,
     teleport_single_squeezer,
     teleport_two_mode,
 )
@@ -74,7 +74,9 @@ class ScenarioConfig:
 
     ``eta`` is the attenuator transmission and exists only for layout
     ``b``; pass :data:`ETA_AUTO` to let each evaluation pick the
-    visibility-maximizing value for its gain.
+    visibility-maximizing value for its gain. Construction builds the
+    configuration's :class:`TeleporterSpec`, which checks the channel once;
+    :func:`build_scenario` runs that same spec.
     """
 
     layout: str
@@ -86,7 +88,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        check_channel(self.source, self.gain, self.H)
+        # Not a dataclass field: equality, hashing and repr stay those of
+        # the five parameters the spec is built from.
+        object.__setattr__(self, "_spec", TeleporterSpec(self.source, self.gain, self.H))
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
@@ -95,15 +99,12 @@ class ScenarioConfig:
         elif self.eta is not None:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 
-    def teleporter(self) -> TeleporterSpec:
-        return TeleporterSpec(self.source, self.gain, self.H)
-
     def resolved_eta(self) -> float | None:
         """The numeric attenuator transmission, or None outside layout b."""
         if self.layout != "b":
             return None
         if self.eta == ETA_AUTO:
-            return optimize_eta(self.gain, self.H, self.source)
+            return _balanced_eta(self.gain, self.H, self.source)
         return float(self.eta)
 
 
@@ -113,29 +114,20 @@ class ScenarioOutputs:
 
     port_a: tuple[LinearField, LinearField]
     port_b: tuple[LinearField, LinearField]
-    registry: ModeRegistry
 
     @property
     def all_fields(self) -> tuple[LinearField, ...]:
         return (*self.port_a, *self.port_b)
 
 
-def build_scenario(
-    config: ScenarioConfig, registry: ModeRegistry | None = None
-) -> ScenarioOutputs:
-    """Construct the configured network and return its output fields.
-
-    A fresh registry is allocated unless an empty one is supplied; one
-    registry hosts exactly one scenario.
-    """
-    reg = registry if registry is not None else ModeRegistry()
-    if len(reg) != 0:
-        raise ValueError("build_scenario needs an empty mode registry")
+def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
+    """Construct the configured network on a fresh registry; return its output fields."""
+    reg = ModeRegistry()
     signal_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
     signal_v = reg.fresh_mode("a_v", Role.SIGNAL_V)
     vacuum_h = reg.fresh_mode("b_h", Role.PORT_B_H)
     vacuum_v = reg.fresh_mode("b_v", Role.PORT_B_V)
-    spec = config.teleporter()
+    spec = config._spec
     eta = config.resolved_eta()
     outputs_a: list[LinearField] = []
     outputs_b: list[LinearField] = []
@@ -150,45 +142,52 @@ def build_scenario(
         out_a, out_b = beamsplitter(arm_c, arm_d)
         outputs_a.append(out_a)
         outputs_b.append(out_b)
-    return ScenarioOutputs(tuple(outputs_a), tuple(outputs_b), reg)
+    return ScenarioOutputs(tuple(outputs_a), tuple(outputs_b))
 
 
-def evaluate_counts(config: ScenarioConfig, state: QubitInput = HORIZONTAL) -> PortCounts:
-    """Build the network and evaluate its photon counts for ``state``."""
+def evaluate_counts(config: ScenarioConfig) -> PortCounts:
+    """Build the network and evaluate its photon counts.
+
+    The counts do not depend on the input qubit, so the horizontal one
+    stands for every input.
+    """
     outputs = build_scenario(config)
-    return port_count(outputs.port_a, outputs.port_b, state)
+    return port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
 
 
-def reference_counts(config: ScenarioConfig, state: QubitInput | None = None) -> PortCounts:
+def reference_counts(config: ScenarioConfig) -> PortCounts:
     """Closed-form count expectations, where the layout/source pair has one.
 
     These are direct evaluations of the per-layout formulas and serve as
-    an independent check on the network construction. The expectations
-    carry no dependence on the input polarization, so ``state`` is
-    accepted only for signature parity with :func:`evaluate_counts`.
+    an independent check on the network construction; like the network's
+    counts, they do not depend on the input qubit. A count that overflows
+    the float range raises ``OverflowError`` naming the gain.
 
     Covered: layout ``a`` for all sources; layouts ``b`` and ``c`` for the
     two-mode and classical sources. The remaining combinations have no
     closed form here and must be evaluated through the network.
     """
-    del state
+    try:
+        count_a, count_b = _closed_form_counts(config)
+    except OverflowError:
+        count_a = count_b = math.inf
+    if not (math.isfinite(count_a) and math.isfinite(count_b)):
+        raise OverflowError(f"a photon count overflowed at gain {config.gain!r}")
+    return PortCounts(count_a, count_b)
+
+
+def _closed_form_counts(config: ScenarioConfig) -> tuple[float, float]:
     gain = config.gain
-    creation_amp, _ = _noise_amplitudes(gain, config.H)
+    creation_amp, _ = noise_amplitudes(gain, config.H)
     spurious = creation_amp * creation_amp
     if config.layout == "a":
         noise = _port_noise(config.source, gain, spurious)
-        return PortCounts(
-            0.25 * (1.0 + gain) ** 2 + noise,
-            0.25 * (1.0 - gain) ** 2 + noise,
-        )
+        return 0.25 * (1.0 + gain) ** 2 + noise, 0.25 * (1.0 - gain) ** 2 + noise
     if config.layout == "b" and config.source in (KIND_TWO_MODE, KIND_CLASSICAL):
         root_eta = math.sqrt(config.resolved_eta())
-        return PortCounts(
-            0.25 * (root_eta + gain) ** 2 + spurious,
-            0.25 * (root_eta - gain) ** 2 + spurious,
-        )
+        return 0.25 * (root_eta + gain) ** 2 + spurious, 0.25 * (root_eta - gain) ** 2 + spurious
     if config.layout == "c" and config.source in (KIND_TWO_MODE, KIND_CLASSICAL):
-        return PortCounts(gain * gain + 2.0 * spurious, 2.0 * spurious)
+        return gain * gain + 2.0 * spurious, 2.0 * spurious
     raise ValueError(
         f"no closed form for layout {config.layout!r} with source {config.source!r}; "
         "evaluate the network instead"
@@ -204,7 +203,12 @@ def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     visibility.
     """
     check_channel(source, gain, H)
-    creation_amp, _ = _noise_amplitudes(gain, H)
+    return _balanced_eta(gain, H, source)
+
+
+def _balanced_eta(gain: float, H: float, source: str) -> float:
+    """:func:`optimize_eta`'s closed form, for an operating point already checked."""
+    creation_amp, _ = noise_amplitudes(gain, H)
     noise = _port_noise(source, gain, creation_amp * creation_amp)
     return min(1.0, gain * gain + 4.0 * noise)
 
@@ -218,13 +222,8 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A gain sweep of one scenario: four float64 columns, one entry per
-    gain point, plus the settings that made them."""
+    """A gain sweep of one scenario: four float64 columns, one entry per gain point."""
 
-    layout: str
-    source: str
-    H: float
-    eta_policy: str
     gains: array
     count_a: array
     count_b: array
@@ -284,15 +283,7 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable
         count_a.append(counts.count_a)
         count_b.append(counts.count_b)
         fringes.append(fringe)
-    if config.eta is None:
-        eta_policy = "none"
-    elif config.eta == ETA_AUTO:
-        eta_policy = ETA_AUTO
-    else:
-        eta_policy = format(float(config.eta), "g")
-    return SweepTable(
-        config.layout, config.source, config.H, eta_policy, gains, count_a, count_b, fringes
-    )
+    return SweepTable(gains, count_a, count_b, fringes)
 
 
 def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -> np.ndarray:

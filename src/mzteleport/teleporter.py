@@ -81,17 +81,13 @@ class TeleporterSpec:
         check_channel(self.kind, self.gain, self.H)
 
 
-def noise_amplitudes(spec: TeleporterSpec) -> tuple[float, float]:
-    """Ancilla coefficients of the channel at this operating point.
+def noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
+    """Ancilla coefficients of the channel at feedforward ``gain`` and pump gain ``H``.
 
     Returns ``(gain*sqrt(H) - sqrt(H-1), sqrt(H) - gain*sqrt(H-1))``: the
     creation-side amplitude (spurious photons) and the annihilation-side
     amplitude (vacuum passthrough that keeps the output canonical).
     """
-    return _noise_amplitudes(spec.gain, spec.H)
-
-
-def _noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
     root_h = math.sqrt(H)
     root_h1 = math.sqrt(H - 1.0)
     return gain * root_h - root_h1, root_h - gain * root_h1
@@ -109,7 +105,7 @@ def teleport_two_mode(
     if spec.kind not in (KIND_TWO_MODE, KIND_CLASSICAL):
         raise ValueError(f"two-mode channel cannot run a {spec.kind!r} spec")
     claim_inputs(c.registry, Role.SQUEEZER_ANCILLA, f1, f2)
-    creation_amp, passthrough_amp = _noise_amplitudes(spec.gain, spec.H)
+    creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     noise = field_from_terms(
         c.registry,
         {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)},
@@ -130,7 +126,7 @@ def teleport_single_squeezer(
     if spec.kind != KIND_SINGLE_SQUEEZER:
         raise ValueError(f"single-squeezer channel cannot run a {spec.kind!r} spec")
     claim_inputs(c.registry, Role.SQUEEZER_ANCILLA, f1, f2)
-    creation_amp, passthrough_amp = _noise_amplitudes(spec.gain, spec.H)
+    creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     noise = field_from_terms(
         c.registry,
         {

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mzteleport import ModeRegistry, QubitInput, Role, field_from_terms
+from mzteleport import QubitInput
+from mzteleport.modes import ModeRegistry, Role, field_from_terms
 
 
 @pytest.fixture

@@ -18,15 +18,11 @@ from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    ModeRegistry,
     QubitInput,
-    Role,
     ScenarioConfig,
     TeleporterSpec,
-    annihilator_field,
     build_scenario,
     coherent_fidelity,
-    commutator,
     default_gain_grid,
     evaluate_counts,
     optimal_gain,
@@ -37,9 +33,10 @@ from mzteleport import (
     squeezing_to_H,
     sweep_gain,
     teleport_composed,
-    teleport_two_mode,
     visibility,
 )
+from mzteleport.modes import ModeRegistry, Role, annihilator_field, commutator
+from mzteleport.teleporter import teleport_two_mode
 
 GAIN_GRID = [round(0.1 * k, 10) for k in range(16)]  # 0.0, 0.1, ..., 1.5
 SQUEEZING_GRID = [0.0, 0.5, 0.9]

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from conftest import random_canonical_field
-from mzteleport import (
+from mzteleport.modes import (
     ModeRegistry,
     Role,
     annihilator_field,
@@ -15,7 +15,6 @@ from mzteleport import (
     beamsplitter,
     combine,
     commutator,
-    creator_field,
     dagger,
     field_from_terms,
     quadrature_variances,
@@ -55,7 +54,6 @@ class TestRegistry:
         reg = fresh_registry()
         f = reg.fresh_mode("f", Role.SQUEEZER_ANCILLA)
         reg.claim_fresh(f)
-        assert reg.is_claimed(f)
         with pytest.raises(ValueError, match="already consumed"):
             reg.claim_fresh(f)
 
@@ -121,7 +119,6 @@ class TestCombine:
         a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
         field = annihilator_field(a_h)
         zero = combine(1.0, field, -1.0, field)
-        assert zero.is_zero
         assert zero.terms == {}
 
     def test_balanced_mix_coefficients(self):
@@ -333,7 +330,7 @@ class TestQuadratureVariances:
         reg = fresh_registry()
         f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
         f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
-        noise = combine(1.0, creator_field(f1), 1.0, annihilator_field(f2))
+        noise = combine(1.0, dagger(annihilator_field(f1)), 1.0, annihilator_field(f2))
         assert quadrature_variances(noise) == (2.0, 2.0)
 
     def test_empty_field(self):

@@ -13,19 +13,16 @@ from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    ModeRegistry,
     PortCounts,
     QubitInput,
-    Role,
     ScenarioConfig,
-    annihilator_field,
     build_scenario,
-    creator_field,
     photon_flux,
     port_count,
     squeezing_to_H,
     visibility,
 )
+from mzteleport.modes import ModeRegistry, Role, annihilator_field, dagger
 
 
 class TestQubitInput:
@@ -53,7 +50,7 @@ class TestPhotonFlux:
         reg.fresh_mode("a_h", Role.SIGNAL_H)
         reg.fresh_mode("a_v", Role.SIGNAL_V)
         f = reg.fresh_mode("f", Role.SQUEEZER_ANCILLA)
-        assert photon_flux(creator_field(f), QubitInput(1.0, 0.0)) == 1.0
+        assert photon_flux(dagger(annihilator_field(f)), QubitInput(1.0, 0.0)) == 1.0
 
     def test_requires_signal_modes(self):
         reg = ModeRegistry()

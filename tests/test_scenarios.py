@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from mzteleport import (
     KIND_TWO_MODE,
     QubitInput,
     ScenarioConfig,
-    SweepRow,
     SweepTable,
     build_scenario,
-    commutator,
     default_gain_grid,
     evaluate_counts,
     optimal_gain,
@@ -32,7 +31,10 @@ from mzteleport import (
     sweep_gain,
     visibility,
 )
-from mzteleport.scenarios import MAX_GRID_STEPS
+from mzteleport import scenarios, teleporter
+from mzteleport.modes import commutator
+from mzteleport.scenarios import MAX_GRID_STEPS, SweepRow
+from mzteleport.teleporter import check_channel
 
 GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
 SQUEEZING_GRID = [0.0, 0.5, 0.9]
@@ -74,6 +76,25 @@ class TestConfigValidation:
         auto = ScenarioConfig("b", KIND_TWO_MODE, 0.5, 1.125, ETA_AUTO)
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
+
+    @pytest.mark.parametrize(
+        "layout, eta", [("a", None), ("b", ETA_AUTO), ("b", 0.5), ("c", None)]
+    )
+    @pytest.mark.parametrize("source", [KIND_TWO_MODE, KIND_SINGLE_SQUEEZER, KIND_CLASSICAL])
+    def test_channel_checked_once_per_gain_point(self, monkeypatch, layout, eta, source):
+        calls = []
+
+        def counting(kind, gain, H):
+            calls.append(gain)
+            return check_channel(kind, gain, H)
+
+        for module in (scenarios, teleporter):
+            monkeypatch.setattr(module, "check_channel", counting)
+        H = 1.0 if source == KIND_CLASSICAL else 1.125
+        config = ScenarioConfig(layout, source, 0.0, H, eta)
+        grid = [0.25, 0.5, 0.75, 1.0, 1.25]
+        sweep_gain(config, grid)
+        assert calls == [0.0, *grid]
 
 
 class TestNetworkAgainstClosedForms:
@@ -137,7 +158,7 @@ class TestNetworkStructure:
 
     def test_dual_teleporter_cancels_signal_at_dark_port(self):
         outputs = build_scenario(ScenarioConfig("c", KIND_TWO_MODE, 0.8, 1.125))
-        signal_h, signal_v = outputs.registry.signal_pair()
+        signal_h, signal_v = outputs.port_b[0].registry.signal_pair()
         for field in outputs.port_b:
             assert field.coefficient(signal_h) == (0.0, 0.0)
             assert field.coefficient(signal_v) == (0.0, 0.0)
@@ -145,12 +166,6 @@ class TestNetworkStructure:
     def test_strong_squeezing_visibility_approaches_one(self):
         config = ScenarioConfig("a", KIND_TWO_MODE, 1.0, squeezing_to_H(0.9999))
         assert visibility(evaluate_counts(config)) >= 0.999
-
-    def test_needs_empty_registry(self):
-        config = ScenarioConfig("a", KIND_TWO_MODE, 1.0, 1.125)
-        registry = build_scenario(config).registry
-        with pytest.raises(ValueError, match="empty"):
-            build_scenario(config, registry)
 
     @pytest.mark.parametrize(
         "config",
@@ -287,9 +302,6 @@ class TestSweep:
         assert len(table.rows) == 301
         gains = [row.gain for row in table.rows]
         assert gains == sorted(gains)
-        assert table.layout == "a"
-        assert table.source == KIND_CLASSICAL
-        assert table.eta_policy == "none"
 
     def test_classical_peak(self):
         table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), default_gain_grid())
@@ -308,7 +320,6 @@ class TestSweep:
     def test_auto_eta_balanced_row(self):
         config = ScenarioConfig("b", KIND_TWO_MODE, 0.0, 1.125, ETA_AUTO)
         table = sweep_gain(config, [0.2, 1 / 3, 0.9])
-        assert table.eta_policy == "auto"
         balanced = table.rows[1]
         assert balanced.count_b <= 1e-12
         assert balanced.visibility == pytest.approx(1.0, abs=1e-9)
@@ -353,24 +364,30 @@ class TestSweep:
             (ScenarioConfig("c", KIND_CLASSICAL, 0.0, 1.0), 1e154),
             # An overflowed coefficient turns a flux into nan.
             (ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1e100), 1e300),
+            (ScenarioConfig("b", KIND_TWO_MODE, 0.0, 1.125, ETA_AUTO), 1e200),
+            (ScenarioConfig("c", KIND_TWO_MODE, 0.0, 1.125), 1e200),
         ],
     )
     def test_overflow_names_the_gain(self, config, gain):
         message = re.escape(f"photon count overflowed at gain {gain!r}")
         with pytest.raises(OverflowError, match=message):
             sweep_gain(config, [0.5, gain])
+        # The closed forms name the gain too, whether ``** 2`` overflows
+        # or a count comes out inf or nan.
+        with pytest.raises(OverflowError, match=message):
+            reference_counts(replace(config, gain=gain))
 
     def test_columns_must_match(self):
         column = array("d", [0.0, 0.5])
         with pytest.raises(ValueError, match="equal lengths"):
-            SweepTable("a", KIND_CLASSICAL, 1.0, "none", column, column, column, column[:1])
+            SweepTable(column, column, column, column[:1])
         with pytest.raises(ValueError, match="strictly increasing"):
-            SweepTable("a", KIND_CLASSICAL, 1.0, "none", column[::-1], column, column, column)
+            SweepTable(column[::-1], column, column, column)
 
     def test_peak_prefers_earliest_tie(self):
         gains = array("d", [0.0, 0.5, 1.0, 1.5])
         fringes = array("d", [math.nan, 0.5, 0.5, 0.25])
-        table = SweepTable("a", KIND_CLASSICAL, 1.0, "none", gains, gains, gains, fringes)
+        table = SweepTable(gains, gains, gains, fringes)
         assert table.peak() == SweepRow(0.5, 0.5, 0.5, 0.5)
 
     @settings(max_examples=60, deadline=None)

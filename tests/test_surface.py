@@ -1,0 +1,80 @@
+"""The package's public names, and the hooks the benchmark tracer patches."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import mzteleport
+from mzteleport import cli
+
+# The README example, the sweeps, the channel parameters and the
+# independent verification routes; everything else lives in a submodule.
+PUBLIC = [
+    "ScenarioConfig",
+    "ETA_AUTO",
+    "SweepTable",
+    "build_scenario",
+    "evaluate_counts",
+    "reference_counts",
+    "optimize_eta",
+    "sweep_gain",
+    "default_gain_grid",
+    "TeleporterSpec",
+    "KIND_TWO_MODE",
+    "KIND_SINGLE_SQUEEZER",
+    "KIND_CLASSICAL",
+    "optimal_gain",
+    "squeezing_to_H",
+    "H_to_squeezing",
+    "coherent_fidelity",
+    "teleport_composed",
+    "QubitInput",
+    "HORIZONTAL",
+    "PortCounts",
+    "photon_flux",
+    "port_count",
+    "visibility",
+    "oracle_flux",
+    "__version__",
+]
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TRACER_SLOTS = 15
+
+
+class TestPublicNames:
+    def test_all_lists_the_documented_names(self):
+        assert len(PUBLIC) == 26
+        assert sorted(mzteleport.__all__) == sorted(PUBLIC)
+        for name in PUBLIC:
+            assert getattr(mzteleport, name) is not None
+
+    def test_star_import_binds_exactly_the_public_names(self):
+        namespace: dict = {}
+        exec("from mzteleport import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(PUBLIC)
+
+
+class TestBenchmarkHooks:
+    """The benchmark wraps package attributes by name; a rename must fail here."""
+
+    def test_tracer_patches_resolve_and_restore(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer()
+        patches = tracer_module.LayerPatches(tracer)
+        slots = [(owner, name, original) for owner, name, original, _ in patches._slots]
+        assert len(slots) == TRACER_SLOTS
+        patches.apply()
+        try:
+            code = cli.main(["sweep", "--steps", "3", "--out", str(tmp_path / "sweep.csv")])
+        finally:
+            patches.restore()
+        assert code == 0
+        assert tracer.totals["scenarios.build_scenario"][0] == 3
+        assert tracer.counts["modes.terms"] > 0
+        for owner, name, original in slots:
+            assert getattr(owner, name) is original
