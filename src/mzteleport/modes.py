@@ -4,18 +4,18 @@ A field is a finite sum ``sum_k (u_k a_k + v_k a_k^dag)`` over registered
 modes, with complex coefficients. Every optical element used by the
 interferometer networks (beamsplitters, squeezers, attenuators,
 teleporters) maps such fields to such fields, so an entire network
-evaluates to one closed-form field per output port.
+evaluates to one closed-form field per output port. Modes carry unique
+labels, and the two signal modes are found by theirs.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Mapping
 
 __all__ = [
-    "Role",
+    "SIGNAL_LABELS",
     "ModeId",
     "ModeRegistry",
     "LinearField",
@@ -31,27 +31,14 @@ __all__ = [
     "quadrature_variances",
     "check_pump_gain",
     "check_transmission",
-    "claim_inputs",
 ]
 
 _INV_SQRT2 = math.sqrt(0.5)
 _ZERO_TERM = (0j, 0j)
 
-
-class Role(enum.Enum):
-    """What a mode feeds into the network."""
-
-    SIGNAL_H = "signal-h"
-    SIGNAL_V = "signal-v"
-    PORT_B_H = "port-b-h"
-    PORT_B_V = "port-b-v"
-    SQUEEZER_ANCILLA = "squeezer-ancilla"
-    ATTENUATOR_VACUUM = "attenuator-vacuum"
-
-
-# At most one mode per registry may carry each of these roles; the photon
-# state lives on them.
-_UNIQUE_ROLES = (Role.SIGNAL_H, Role.SIGNAL_V)
+# Labels of the (horizontal, vertical) signal modes, where the photon
+# state lives; every other mode enters in vacuum.
+SIGNAL_LABELS = ("a_h", "a_v")
 
 
 @dataclass(frozen=True)
@@ -60,23 +47,22 @@ class ModeId:
 
     index: int
     label: str
-    role: Role
     registry: "ModeRegistry" = dataclass_field(repr=False, compare=False)
 
 
 class ModeRegistry:
-    """Allocates modes and tracks which ones an element has consumed.
+    """Allocates the input modes of one network, each under a unique label.
 
-    The registry is the only mutable object in this module: it grows as
-    modes are allocated and remembers which modes were claimed as fresh
-    vacuum inputs by squeezers, teleporters and attenuators. Mode handles
-    and fields are immutable values.
+    It is the only mutable object in this module; mode handles and fields
+    are immutable values. Giving each element input modes that no other
+    element uses is the caller's contract, and nothing here records it: a
+    shared ancilla shows up as network outputs that are not canonical and
+    mutually commuting under :func:`commutator`.
     """
 
     def __init__(self) -> None:
         self._modes: list[ModeId] = []
         self._by_label: dict[str, ModeId] = {}
-        self._claimed: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._modes)
@@ -84,15 +70,11 @@ class ModeRegistry:
     def __iter__(self) -> Iterator[ModeId]:
         return iter(self._modes)
 
-    def fresh_mode(self, label: str, role: Role) -> ModeId:
-        """Register a new mode; labels are unique, signal roles at most once."""
-        if not isinstance(role, Role):
-            raise ValueError(f"unknown mode role {role!r}")
+    def fresh_mode(self, label: str) -> ModeId:
+        """Register a new mode under a label not yet in use."""
         if label in self._by_label:
             raise ValueError(f"mode label {label!r} already registered")
-        if role in _UNIQUE_ROLES and any(m.role is role for m in self._modes):
-            raise ValueError(f"a {role.value} mode is already registered")
-        mode = ModeId(len(self._modes), label, role, self)
+        mode = ModeId(len(self._modes), label, self)
         self._modes.append(mode)
         self._by_label[label] = mode
         return mode
@@ -100,42 +82,13 @@ class ModeRegistry:
     def mode(self, index: int) -> ModeId:
         return self._modes[index]
 
-    def claim_fresh(self, *modes: ModeId) -> None:
-        """Consume distinct modes as exclusive vacuum inputs of one element.
-
-        A mode can be claimed once; a second claim means two elements are
-        trying to share an ancilla, which the networks forbid.
-        """
-        for mode in modes:
-            self._require_member(mode)
-            if mode.index in self._claimed:
-                raise ValueError(
-                    f"mode {mode.label!r} was already consumed as a fresh vacuum input"
-                )
-        indices = {mode.index for mode in modes}
-        if len(indices) != len(modes):
-            raise ValueError("an element needs distinct input modes")
-        self._claimed |= indices
-
     def signal_pair(self) -> tuple[ModeId, ModeId]:
-        """The (horizontal, vertical) signal modes; error if either is missing."""
-        found: dict[Role, ModeId] = {}
-        for mode in self._modes:
-            if mode.role in _UNIQUE_ROLES:
-                found[mode.role] = mode
+        """The modes labelled :data:`SIGNAL_LABELS`; error if either is missing."""
+        label_h, label_v = SIGNAL_LABELS
         try:
-            return found[Role.SIGNAL_H], found[Role.SIGNAL_V]
+            return self._by_label[label_h], self._by_label[label_v]
         except KeyError as exc:
             raise ValueError("registry has no signal mode pair") from exc
-
-    def _require_member(self, mode: ModeId) -> None:
-        """Reject a mode this registry did not allocate."""
-        if not (
-            mode.registry is self
-            and 0 <= mode.index < len(self._modes)
-            and self._modes[mode.index] is mode
-        ):
-            raise ValueError(f"mode {mode.label!r} is not registered here")
 
 
 @dataclass(frozen=True)
@@ -152,7 +105,6 @@ class LinearField:
 
     def coefficient(self, mode: ModeId) -> tuple[complex, complex]:
         """The (annihilator, creator) coefficient pair carried on ``mode``."""
-        self.registry._require_member(mode)
         return self.terms.get(mode.index, _ZERO_TERM)
 
     def support(self) -> tuple[ModeId, ...]:
@@ -166,7 +118,6 @@ def field_from_terms(
     """Build a field directly from per-mode coefficient pairs."""
     pruned: dict[int, tuple[complex, complex]] = {}
     for mode, (u, v) in sorted(terms.items(), key=lambda item: item[0].index):
-        registry._require_member(mode)
         if u != 0 or v != 0:
             pruned[mode.index] = (u, v)
     return LinearField(registry, pruned)
@@ -174,7 +125,6 @@ def field_from_terms(
 
 def annihilator_field(mode: ModeId) -> LinearField:
     """The bare input operator of ``mode`` as a field."""
-    mode.registry._require_member(mode)
     return LinearField(mode.registry, {mode.index: (1.0 + 0j, 0j)})
 
 
@@ -242,20 +192,6 @@ def check_transmission(eta: float) -> None:
         raise ValueError(f"transmission must lie in [0, 1], got {eta!r}")
 
 
-def claim_inputs(registry: ModeRegistry, role: Role, *modes: ModeId) -> None:
-    """Consume ``modes`` as one element's fresh vacuum inputs on ``registry``.
-
-    Every mode must carry ``role``, belong to ``registry``, appear once,
-    and not have been claimed by another element.
-    """
-    for mode in modes:
-        if mode.role is not role:
-            raise ValueError(
-                f"mode {mode.label!r} has role {mode.role.value!r}; expected {role.value!r}"
-            )
-    registry.claim_fresh(*modes)
-
-
 def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, LinearField]:
     """Entangled pair from two fresh ancillas at pump gain ``H >= 1``.
 
@@ -264,7 +200,6 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
     """
     check_pump_gain(H)
     registry = f1.registry
-    claim_inputs(registry, Role.SQUEEZER_ANCILLA, f1, f2)
     cosh = math.sqrt(H)
     sinh = math.sqrt(H - 1.0)
     e1 = field_from_terms(registry, {f1: (cosh, 0.0), f2: (0.0, sinh)})
@@ -275,14 +210,12 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
 def single_mode_squeezer(f: ModeId, H: float) -> LinearField:
     """Squeezed beam ``sqrt(H) f + sqrt(H-1) f^dag`` from one fresh ancilla."""
     check_pump_gain(H)
-    claim_inputs(f.registry, Role.SQUEEZER_ANCILLA, f)
     return field_from_terms(f.registry, {f: (math.sqrt(H), math.sqrt(H - 1.0))})
 
 
 def attenuate(field_d: LinearField, eta: float, g: ModeId) -> LinearField:
     """Beam attenuation ``sqrt(eta) D + sqrt(1 - eta) g`` with fresh vacuum ``g``."""
     check_transmission(eta)
-    claim_inputs(field_d.registry, Role.ATTENUATOR_VACUUM, g)
     return combine(math.sqrt(eta), field_d, math.sqrt(1.0 - eta), annihilator_field(g))
 
 

@@ -30,7 +30,7 @@ class QubitInput:
 
     def __post_init__(self) -> None:
         norm = abs(self.x) ** 2 + abs(self.y) ** 2
-        if abs(norm - 1.0) > _NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(f"qubit amplitudes are not normalized: |x|^2+|y|^2 = {norm!r}")
 
 

@@ -25,9 +25,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .modes import (
+    SIGNAL_LABELS,
     LinearField,
     ModeRegistry,
-    Role,
     annihilator_field,
     attenuate,
     beamsplitter,
@@ -123,10 +123,9 @@ class ScenarioOutputs:
 def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
     """Construct the configured network on a fresh registry; return its output fields."""
     reg = ModeRegistry()
-    signal_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-    signal_v = reg.fresh_mode("a_v", Role.SIGNAL_V)
-    vacuum_h = reg.fresh_mode("b_h", Role.PORT_B_H)
-    vacuum_v = reg.fresh_mode("b_v", Role.PORT_B_V)
+    signal_h, signal_v = map(reg.fresh_mode, SIGNAL_LABELS)
+    vacuum_h = reg.fresh_mode("b_h")
+    vacuum_v = reg.fresh_mode("b_v")
     spec = config._spec
     eta = config.resolved_eta()
     outputs_a: list[LinearField] = []
@@ -135,7 +134,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
         arm_c, arm_d = beamsplitter(annihilator_field(signal), annihilator_field(vacuum))
         arm_c = _teleport_arm(arm_c, spec, reg, f"c{pol}")
         if config.layout == "b":
-            g = reg.fresh_mode(f"g_{pol}", Role.ATTENUATOR_VACUUM)
+            g = reg.fresh_mode(f"g_{pol}")
             arm_d = attenuate(arm_d, eta, g)
         elif config.layout == "c":
             arm_d = _teleport_arm(arm_d, spec, reg, f"d{pol}")
@@ -233,7 +232,7 @@ class SweepTable:
         columns = (self.gains, self.count_a, self.count_b, self.visibility)
         if len({len(column) for column in columns}) != 1:
             raise ValueError("sweep columns must have equal lengths")
-        if any(b <= a for a, b in pairwise(self.gains)):
+        if any(not b > a for a, b in pairwise(self.gains)):
             raise ValueError("sweep rows must be strictly increasing in gain")
 
     @property
@@ -268,7 +267,7 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable
     gains = array("d", map(float, gain_grid))
     if not gains:
         raise ValueError("gain grid is empty")
-    if any(b <= a for a, b in pairwise(gains)):
+    if any(not b > a for a, b in pairwise(gains)):
         raise ValueError("gain grid must be strictly increasing")
     count_a, count_b, fringes = array("d"), array("d"), array("d")
     for gain in gains:
@@ -314,8 +313,8 @@ def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -
 def _teleport_arm(
     field: LinearField, spec: TeleporterSpec, registry: ModeRegistry, tag: str
 ) -> LinearField:
-    f1 = registry.fresh_mode(f"f_{tag}_1", Role.SQUEEZER_ANCILLA)
-    f2 = registry.fresh_mode(f"f_{tag}_2", Role.SQUEEZER_ANCILLA)
+    f1 = registry.fresh_mode(f"f_{tag}_1")
+    f2 = registry.fresh_mode(f"f_{tag}_2")
     if spec.kind == KIND_SINGLE_SQUEEZER:
         return teleport_single_squeezer(field, spec, f1, f2)
     return teleport_two_mode(field, spec, f1, f2)

@@ -17,11 +17,9 @@ from .modes import (
     LinearField,
     ModeId,
     ModeRegistry,
-    Role,
     annihilator_field,
     beamsplitter,
     check_pump_gain,
-    claim_inputs,
     combine,
     dagger,
     field_from_terms,
@@ -99,12 +97,13 @@ def teleport_two_mode(
     """Teleporter channel backed by a two-mode entangled pair.
 
     Output is ``gain*c + A f1^dag + B f2`` with ``(A, B)`` the noise
-    amplitudes; (f1, f2) must be fresh squeezer ancillas, one pair per
-    invocation. The classical kind is the same map pinned at ``H = 1``.
+    amplitudes and (f1, f2) the squeezer's vacuum ancillas. The classical
+    kind is the same map pinned at ``H = 1``. A pair no other element
+    uses is the caller's contract: a shared ancilla leaves the network's
+    outputs non-canonical.
     """
     if spec.kind not in (KIND_TWO_MODE, KIND_CLASSICAL):
         raise ValueError(f"two-mode channel cannot run a {spec.kind!r} spec")
-    claim_inputs(c.registry, Role.SQUEEZER_ANCILLA, f1, f2)
     creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     noise = field_from_terms(
         c.registry,
@@ -121,11 +120,11 @@ def teleport_single_squeezer(
     Output is ``gain*c + (A f1^dag + B f1 + gain f2^dag + f2)/sqrt(2)``;
     the extra ``f2`` terms are the vacuum entering the splitting
     beamsplitter, which is what degrades this channel relative to the
-    genuinely two-mode one.
+    genuinely two-mode one. As for :func:`teleport_two_mode`, (f1, f2)
+    must be ancillas no other element uses.
     """
     if spec.kind != KIND_SINGLE_SQUEEZER:
         raise ValueError(f"single-squeezer channel cannot run a {spec.kind!r} spec")
-    claim_inputs(c.registry, Role.SQUEEZER_ANCILLA, f1, f2)
     creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     noise = field_from_terms(
         c.registry,
@@ -177,7 +176,8 @@ def squeezing_to_H(s: float) -> float:
     if not 0.0 <= s < 1.0:
         raise ValueError(f"squeezing fraction must lie in [0, 1), got {s!r}")
     remaining = 1.0 - s
-    return (1.0 + remaining) ** 2 / (4.0 * remaining)
+    # The exact value is >= 1; rounding can land one ulp below for s ~ 1e-16.
+    return max(1.0, (1.0 + remaining) ** 2 / (4.0 * remaining))
 
 
 def H_to_squeezing(H: float) -> float:
@@ -197,9 +197,9 @@ def coherent_fidelity(spec: TeleporterSpec) -> float:
     if spec.gain != 1.0:
         raise ValueError("coherent fidelity is defined at unity gain only")
     registry = ModeRegistry()
-    probe = annihilator_field(registry.fresh_mode("probe", Role.SIGNAL_H))
-    f1 = registry.fresh_mode("ancilla_1", Role.SQUEEZER_ANCILLA)
-    f2 = registry.fresh_mode("ancilla_2", Role.SQUEEZER_ANCILLA)
+    probe = annihilator_field(registry.fresh_mode("probe"))
+    f1 = registry.fresh_mode("ancilla_1")
+    f2 = registry.fresh_mode("ancilla_2")
     if spec.kind == KIND_SINGLE_SQUEEZER:
         output = teleport_single_squeezer(probe, spec, f1, f2)
     else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mzteleport import QubitInput
-from mzteleport.modes import ModeRegistry, Role, field_from_terms
+from mzteleport.modes import ModeRegistry, field_from_terms
 
 
 @pytest.fixture
@@ -18,10 +18,10 @@ def rng() -> np.random.Generator:
 def signal_registry() -> ModeRegistry:
     """A registry holding the two signal modes plus six spare ancillas."""
     registry = ModeRegistry()
-    registry.fresh_mode("a_h", Role.SIGNAL_H)
-    registry.fresh_mode("a_v", Role.SIGNAL_V)
+    registry.fresh_mode("a_h")
+    registry.fresh_mode("a_v")
     for i in range(6):
-        registry.fresh_mode(f"spare_{i}", Role.SQUEEZER_ANCILLA)
+        registry.fresh_mode(f"spare_{i}")
     return registry
 
 

@@ -35,7 +35,7 @@ from mzteleport import (
     teleport_composed,
     visibility,
 )
-from mzteleport.modes import ModeRegistry, Role, annihilator_field, commutator
+from mzteleport.modes import ModeRegistry, annihilator_field, commutator
 from mzteleport.teleporter import teleport_two_mode
 
 GAIN_GRID = [round(0.1 * k, 10) for k in range(16)]  # 0.0, 0.1, ..., 1.5
@@ -103,10 +103,10 @@ def test_criterion_2_fock_oracle_equivalence():
     rng = np.random.default_rng(1999)
     registry = ModeRegistry()
     modes = [
-        registry.fresh_mode("a_h", Role.SIGNAL_H),
-        registry.fresh_mode("a_v", Role.SIGNAL_V),
+        registry.fresh_mode("a_h"),
+        registry.fresh_mode("a_v"),
     ]
-    modes += [registry.fresh_mode(f"m{i}", Role.SQUEEZER_ANCILLA) for i in range(6)]
+    modes += [registry.fresh_mode(f"m{i}") for i in range(6)]
     for _ in range(50):
         size = int(rng.integers(1, 7))
         chosen = [modes[i] for i in rng.choice(len(modes), size=size, replace=False)]
@@ -307,9 +307,9 @@ def test_criterion_12_composition_check():
                 ("direct", direct_reg, teleport_two_mode),
                 ("composed", composed_reg, teleport_composed),
             ):
-                c_mode = reg.fresh_mode("c", Role.SIGNAL_H)
-                f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-                f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+                c_mode = reg.fresh_mode("c")
+                f1 = reg.fresh_mode("f1")
+                f2 = reg.fresh_mode("f2")
                 fields[name] = (channel(annihilator_field(c_mode), spec, f1, f2), reg)
             direct, direct_reg = fields["direct"]
             composed, composed_reg = fields["composed"]

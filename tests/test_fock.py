@@ -24,7 +24,6 @@ from mzteleport import (
 from mzteleport.fock import ladder_matrix, operator_matrix
 from mzteleport.modes import (
     ModeRegistry,
-    Role,
     annihilator_field,
     combine,
     dagger,
@@ -95,13 +94,13 @@ class TestLadderMatrix:
 class TestOperatorMatrix:
     def test_single_annihilator_embeds_ladder(self):
         reg = ModeRegistry()
-        mode = reg.fresh_mode("m", Role.SQUEEZER_ANCILLA)
+        mode = reg.fresh_mode("m")
         assert np.array_equal(operator_matrix(annihilator_field(mode), 3), ladder_matrix(3))
 
     def test_two_mode_mix_against_direct_tensor(self):
         reg = ModeRegistry()
-        m_a = reg.fresh_mode("m_a", Role.SQUEEZER_ANCILLA)
-        m_b = reg.fresh_mode("m_b", Role.SQUEEZER_ANCILLA)
+        m_a = reg.fresh_mode("m_a")
+        m_b = reg.fresh_mode("m_b")
         r = math.sqrt(0.5)
         mixed = combine(r, annihilator_field(m_a), r, annihilator_field(m_b))
         matrix = operator_matrix(mixed, 2)
@@ -120,7 +119,7 @@ class TestOperatorMatrix:
 
     def test_resource_guard(self):
         reg = ModeRegistry()
-        modes = [reg.fresh_mode(f"m{i}", Role.SQUEEZER_ANCILLA) for i in range(7)]
+        modes = [reg.fresh_mode(f"m{i}") for i in range(7)]
         wide = field_from_terms(reg, {m: (1.0, 0.0) for m in modes})
         with pytest.raises(ValueError, match="dense operator"):
             operator_matrix(wide, 3)
@@ -129,8 +128,8 @@ class TestOperatorMatrix:
 class TestOracleFlux:
     def test_bare_signal_mode(self):
         reg = ModeRegistry()
-        sig_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        reg.fresh_mode("a_v", Role.SIGNAL_V)
+        sig_h = reg.fresh_mode("a_h")
+        reg.fresh_mode("a_v")
         assert oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0)) == 1.0
 
     def test_matches_formula_on_network_outputs(self):
@@ -206,10 +205,10 @@ class TestOracleFlux:
     )
     def test_property_matches_formula(self, coefficients, order, theta, phi):
         reg = ModeRegistry()
-        reg.fresh_mode("a_h", Role.SIGNAL_H)
-        reg.fresh_mode("a_v", Role.SIGNAL_V)
+        reg.fresh_mode("a_h")
+        reg.fresh_mode("a_v")
         for i in range(6):
-            reg.fresh_mode(f"m{i}", Role.SQUEEZER_ANCILLA)
+            reg.fresh_mode(f"m{i}")
         modes = [reg.mode(i) for i in order]
         field = field_from_terms(reg, dict(zip(modes, coefficients)))
         state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
@@ -219,16 +218,16 @@ class TestOracleFlux:
 
     def test_cutoff_floor(self):
         reg = ModeRegistry()
-        sig_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        reg.fresh_mode("a_v", Role.SIGNAL_V)
+        sig_h = reg.fresh_mode("a_h")
+        reg.fresh_mode("a_v")
         with pytest.raises(ValueError, match=">= 3"):
             oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0), cutoff=2)
 
     def test_resource_guard(self):
         reg = ModeRegistry()
-        reg.fresh_mode("a_h", Role.SIGNAL_H)
-        reg.fresh_mode("a_v", Role.SIGNAL_V)
-        modes = [reg.fresh_mode(f"m{i}", Role.SQUEEZER_ANCILLA) for i in range(10)]
+        reg.fresh_mode("a_h")
+        reg.fresh_mode("a_v")
+        modes = [reg.fresh_mode(f"m{i}") for i in range(10)]
         wide = field_from_terms(reg, {m: (1.0, 0.0) for m in modes})
         with pytest.raises(ValueError, match="state vector"):
             oracle_flux(wide, QubitInput(1.0, 0.0), cutoff=4)

@@ -9,7 +9,6 @@ import pytest
 from conftest import random_canonical_field
 from mzteleport.modes import (
     ModeRegistry,
-    Role,
     annihilator_field,
     attenuate,
     beamsplitter,
@@ -32,34 +31,21 @@ def fresh_registry():
 class TestRegistry:
     def test_sequential_allocation(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        a_v = reg.fresh_mode("a_v", Role.SIGNAL_V)
+        a_h = reg.fresh_mode("a_h")
+        a_v = reg.fresh_mode("a_v")
         assert a_h.index == 0
         assert a_v.index == 1
         assert len(reg) == 2
 
     def test_duplicate_label_rejected(self):
         reg = fresh_registry()
-        reg.fresh_mode("a_h", Role.SIGNAL_H)
+        reg.fresh_mode("a_h")
         with pytest.raises(ValueError, match="already registered"):
-            reg.fresh_mode("a_h", Role.SIGNAL_V)
-
-    def test_duplicate_signal_role_rejected(self):
-        reg = fresh_registry()
-        reg.fresh_mode("a_h", Role.SIGNAL_H)
-        with pytest.raises(ValueError, match="signal-h"):
-            reg.fresh_mode("other", Role.SIGNAL_H)
-
-    def test_claim_fresh_is_single_use(self):
-        reg = fresh_registry()
-        f = reg.fresh_mode("f", Role.SQUEEZER_ANCILLA)
-        reg.claim_fresh(f)
-        with pytest.raises(ValueError, match="already consumed"):
-            reg.claim_fresh(f)
+            reg.fresh_mode("a_h")
 
     def test_signal_pair_requires_both(self):
         reg = fresh_registry()
-        reg.fresh_mode("a_h", Role.SIGNAL_H)
+        reg.fresh_mode("a_h")
         with pytest.raises(ValueError, match="signal"):
             reg.signal_pair()
 
@@ -67,24 +53,15 @@ class TestRegistry:
 class TestFieldBasics:
     def test_annihilator_field(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
+        a_h = reg.fresh_mode("a_h")
         field = annihilator_field(a_h)
         assert field.coefficient(a_h) == (1.0, 0.0)
         assert field.support() == (a_h,)
         assert commutator(field, field) == 1.0
 
-    def test_annihilator_rejects_foreign_mode(self):
-        reg_a = fresh_registry()
-        reg_b = fresh_registry()
-        mode = reg_a.fresh_mode("a_h", Role.SIGNAL_H)
-        reg_b.fresh_mode("a_h", Role.SIGNAL_H)
-        foreign = mode.__class__(mode.index, mode.label, mode.role, reg_b)
-        with pytest.raises(ValueError, match="not registered"):
-            annihilator_field(foreign)
-
     def test_dagger_swaps_and_conjugates(self):
         reg = fresh_registry()
-        m = reg.fresh_mode("m", Role.SQUEEZER_ANCILLA)
+        m = reg.fresh_mode("m")
         field = annihilator_field(m)
         assert dagger(field).coefficient(m) == (0.0, 1.0)
         scaled = combine(1j, field, 0.0, field)
@@ -92,8 +69,8 @@ class TestFieldBasics:
 
     def test_dagger_is_involution(self):
         reg = fresh_registry()
-        m1 = reg.fresh_mode("m1", Role.SQUEEZER_ANCILLA)
-        m2 = reg.fresh_mode("m2", Role.SQUEEZER_ANCILLA)
+        m1 = reg.fresh_mode("m1")
+        m2 = reg.fresh_mode("m2")
         field = field_from_terms(reg, {m1: (0.3 + 1j, -0.7), m2: (0.0, 2.5j)})
         assert dagger(dagger(field)) == field
 
@@ -109,29 +86,29 @@ class TestFieldBasics:
 class TestCombine:
     def test_additivity(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
+        a_h = reg.fresh_mode("a_h")
         field = annihilator_field(a_h)
         doubled = combine(1.0, field, 1.0, field)
         assert doubled.coefficient(a_h) == (2.0, 0.0)
 
     def test_cancellation_prunes(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
+        a_h = reg.fresh_mode("a_h")
         field = annihilator_field(a_h)
         zero = combine(1.0, field, -1.0, field)
         assert zero.terms == {}
 
     def test_balanced_mix_coefficients(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        b_h = reg.fresh_mode("b_h", Role.PORT_B_H)
+        a_h = reg.fresh_mode("a_h")
+        b_h = reg.fresh_mode("b_h")
         mixed = combine(INV_SQRT2, annihilator_field(a_h), INV_SQRT2, annihilator_field(b_h))
         assert mixed.coefficient(a_h)[0] == pytest.approx(0.7071067811865476, abs=0)
         assert mixed.coefficient(b_h)[0] == pytest.approx(0.7071067811865476, abs=0)
 
     def test_registry_mismatch_rejected(self):
-        field_a = annihilator_field(fresh_registry().fresh_mode("m", Role.SIGNAL_H))
-        field_b = annihilator_field(fresh_registry().fresh_mode("m", Role.SIGNAL_H))
+        field_a = annihilator_field(fresh_registry().fresh_mode("m"))
+        field_b = annihilator_field(fresh_registry().fresh_mode("m"))
         with pytest.raises(ValueError, match="different registries"):
             combine(1.0, field_a, 1.0, field_b)
 
@@ -154,8 +131,8 @@ class TestCombine:
 class TestCommutator:
     def test_canonical_single_mode(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        a_v = reg.fresh_mode("a_v", Role.SIGNAL_V)
+        a_h = reg.fresh_mode("a_h")
+        a_v = reg.fresh_mode("a_v")
         assert commutator(annihilator_field(a_h), annihilator_field(a_h)) == 1.0
         assert commutator(annihilator_field(a_h), annihilator_field(a_v)) == 0.0
 
@@ -165,9 +142,9 @@ class TestCommutator:
         # gain*c + (gain*sqrt(H) - sqrt(H-1)) f1^dag + (sqrt(H) - gain*sqrt(H-1)) f2
         # has self-commutator gain^2 - A^2 + B^2 = 1 identically.
         reg = fresh_registry()
-        c = annihilator_field(reg.fresh_mode("c", Role.SIGNAL_H))
-        f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-        f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+        c = annihilator_field(reg.fresh_mode("c"))
+        f1 = reg.fresh_mode("f1")
+        f2 = reg.fresh_mode("f2")
         a_amp = gain * math.sqrt(H) - math.sqrt(H - 1.0)
         b_amp = math.sqrt(H) - gain * math.sqrt(H - 1.0)
         field = combine(
@@ -188,8 +165,8 @@ class TestCommutator:
 class TestBeamsplitter:
     def test_coefficients(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        b_h = reg.fresh_mode("b_h", Role.PORT_B_H)
+        a_h = reg.fresh_mode("a_h")
+        b_h = reg.fresh_mode("b_h")
         out_sum, out_diff = beamsplitter(annihilator_field(a_h), annihilator_field(b_h))
         assert out_sum.coefficient(a_h)[0] == pytest.approx(INV_SQRT2, abs=0)
         assert out_sum.coefficient(b_h)[0] == pytest.approx(INV_SQRT2, abs=0)
@@ -198,8 +175,8 @@ class TestBeamsplitter:
 
     def test_outputs_commute(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h", Role.SIGNAL_H)
-        b_h = reg.fresh_mode("b_h", Role.PORT_B_H)
+        a_h = reg.fresh_mode("a_h")
+        b_h = reg.fresh_mode("b_h")
         out_sum, out_diff = beamsplitter(annihilator_field(a_h), annihilator_field(b_h))
         assert commutator(out_sum, out_diff) == pytest.approx(0.0, abs=1e-15)
         assert commutator(out_sum, out_sum) == pytest.approx(1.0, abs=1e-15)
@@ -219,16 +196,16 @@ class TestBeamsplitter:
 class TestSqueezers:
     def test_two_mode_identity_at_unit_pump(self):
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-        f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+        f1 = reg.fresh_mode("f1")
+        f2 = reg.fresh_mode("f2")
         e1, e2 = two_mode_squeezer(f1, f2, 1.0)
         assert e1 == annihilator_field(f1)
         assert e2 == annihilator_field(f2)
 
     def test_two_mode_creation_coefficient(self):
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-        f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+        f1 = reg.fresh_mode("f1")
+        f2 = reg.fresh_mode("f2")
         e1, _ = two_mode_squeezer(f1, f2, 1.125)
         assert e1.coefficient(f2)[1] == pytest.approx(math.sqrt(0.125), abs=0)
         assert e1.coefficient(f2)[1] == pytest.approx(0.35355, abs=5e-6)
@@ -236,8 +213,8 @@ class TestSqueezers:
     @pytest.mark.parametrize("H", [1.0, 1.125, 3.025, 10.0])
     def test_two_mode_preserves_commutators(self, H):
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-        f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+        f1 = reg.fresh_mode("f1")
+        f2 = reg.fresh_mode("f2")
         e1, e2 = two_mode_squeezer(f1, f2, H)
         assert commutator(e1, e1) == pytest.approx(1.0, abs=1e-12)
         assert commutator(e2, e2) == pytest.approx(1.0, abs=1e-12)
@@ -245,21 +222,15 @@ class TestSqueezers:
 
     def test_two_mode_rejects_bad_inputs(self):
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-        f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+        f1 = reg.fresh_mode("f1")
+        f2 = reg.fresh_mode("f2")
         for H in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match=">= 1"):
                 two_mode_squeezer(f1, f2, H)
-        with pytest.raises(ValueError, match="distinct"):
-            two_mode_squeezer(f1, f1, 2.0)
-        two_mode_squeezer(f1, f2, 2.0)
-        f3 = reg.fresh_mode("f3", Role.SQUEEZER_ANCILLA)
-        with pytest.raises(ValueError, match="already consumed"):
-            two_mode_squeezer(f1, f3, 2.0)
 
     def test_single_mode_squeezer(self):
         reg = fresh_registry()
-        f = reg.fresh_mode("f", Role.SQUEEZER_ANCILLA)
+        f = reg.fresh_mode("f")
         squeezed = single_mode_squeezer(f, 2.53125)
         u, v = squeezed.coefficient(f)
         assert u == pytest.approx(1.59099, abs=5e-6)
@@ -268,9 +239,9 @@ class TestSqueezers:
 
     def test_single_mode_identity_and_errors(self):
         reg = fresh_registry()
-        f = reg.fresh_mode("f", Role.SQUEEZER_ANCILLA)
+        f = reg.fresh_mode("f")
         assert single_mode_squeezer(f, 1.0) == annihilator_field(f)
-        g = reg.fresh_mode("g", Role.SQUEEZER_ANCILLA)
+        g = reg.fresh_mode("g")
         for H in (0.99, math.nan, math.inf):
             with pytest.raises(ValueError, match=">= 1"):
                 single_mode_squeezer(g, H)
@@ -279,14 +250,14 @@ class TestSqueezers:
 class TestAttenuator:
     def test_lossless_is_identity(self):
         reg = fresh_registry()
-        d = annihilator_field(reg.fresh_mode("d", Role.SIGNAL_H))
-        g = reg.fresh_mode("g", Role.ATTENUATOR_VACUUM)
+        d = annihilator_field(reg.fresh_mode("d"))
+        g = reg.fresh_mode("g")
         assert attenuate(d, 1.0, g) == d
 
     def test_full_block_is_vacuum(self):
         reg = fresh_registry()
-        d_mode = reg.fresh_mode("d", Role.SIGNAL_H)
-        g = reg.fresh_mode("g", Role.ATTENUATOR_VACUUM)
+        d_mode = reg.fresh_mode("d")
+        g = reg.fresh_mode("g")
         blocked = attenuate(annihilator_field(d_mode), 0.0, g)
         assert blocked == annihilator_field(g)
 
@@ -294,15 +265,15 @@ class TestAttenuator:
     def test_stays_canonical(self, eta, rng, signal_registry):
         modes = [m for m in signal_registry][:4]
         field = random_canonical_field(signal_registry, modes, rng)
-        g = signal_registry.fresh_mode("g", Role.ATTENUATOR_VACUUM)
+        g = signal_registry.fresh_mode("g")
         assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
         attenuated = attenuate(field, eta, g)
         assert commutator(attenuated, attenuated) == pytest.approx(1.0, abs=1e-12)
 
     def test_range_errors(self):
         reg = fresh_registry()
-        d = annihilator_field(reg.fresh_mode("d", Role.SIGNAL_H))
-        g = reg.fresh_mode("g", Role.ATTENUATOR_VACUUM)
+        d = annihilator_field(reg.fresh_mode("d"))
+        g = reg.fresh_mode("g")
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             attenuate(d, 1.2, g)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -310,31 +281,24 @@ class TestAttenuator:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             attenuate(d, math.nan, g)
 
-    def test_role_enforced(self):
-        reg = fresh_registry()
-        d = annihilator_field(reg.fresh_mode("d", Role.SIGNAL_H))
-        wrong = reg.fresh_mode("wrong", Role.SQUEEZER_ANCILLA)
-        with pytest.raises(ValueError, match="attenuator-vacuum"):
-            attenuate(d, 0.5, wrong)
-
 
 class TestQuadratureVariances:
     def test_vacuum(self):
         reg = fresh_registry()
-        field = annihilator_field(reg.fresh_mode("m", Role.SIGNAL_H))
+        field = annihilator_field(reg.fresh_mode("m"))
         assert quadrature_variances(field) == (1.0, 1.0)
 
     def test_classical_channel_noise(self):
         # f1^dag + f2: the added noise of the entanglement-free channel
         # at unity gain contributes one extra vacuum unit per quadrature.
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-        f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
+        f1 = reg.fresh_mode("f1")
+        f2 = reg.fresh_mode("f2")
         noise = combine(1.0, dagger(annihilator_field(f1)), 1.0, annihilator_field(f2))
         assert quadrature_variances(noise) == (2.0, 2.0)
 
     def test_empty_field(self):
         reg = fresh_registry()
-        m = reg.fresh_mode("m", Role.SIGNAL_H)
+        m = reg.fresh_mode("m")
         empty = combine(1.0, annihilator_field(m), -1.0, annihilator_field(m))
         assert quadrature_variances(empty) == (0.0, 0.0)

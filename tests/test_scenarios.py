@@ -33,11 +33,23 @@ from mzteleport import (
 )
 from mzteleport import scenarios, teleporter
 from mzteleport.modes import commutator
-from mzteleport.scenarios import MAX_GRID_STEPS, SweepRow
-from mzteleport.teleporter import check_channel
+from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS, SweepRow
+from mzteleport.teleporter import KINDS, check_channel
 
 GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
 SQUEEZING_GRID = [0.0, 0.5, 0.9]
+
+
+@st.composite
+def scenario_configs(draw):
+    """Any layout and source; gain in [0, 1.5] (often 0), squeezing in [0, 0.9]."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    source = draw(st.sampled_from(KINDS))
+    gain = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+    squeezing = draw(st.floats(0.0, 0.9))
+    H = 1.0 if source == KIND_CLASSICAL else squeezing_to_H(squeezing)
+    eta = draw(st.one_of(st.just(ETA_AUTO), st.floats(0.0, 1.0))) if layout == "b" else None
+    return ScenarioConfig(layout, source, gain, H, eta)
 
 
 class TestConfigValidation:
@@ -167,6 +179,16 @@ class TestNetworkStructure:
         config = ScenarioConfig("a", KIND_TWO_MODE, 1.0, squeezing_to_H(0.9999))
         assert visibility(evaluate_counts(config)) >= 0.999
 
+    # The physics that guards against an ancilla shared between elements:
+    # such a network's outputs are not canonical, or do not commute.
+    @staticmethod
+    def _assert_canonical_and_commuting(config):
+        fields = build_scenario(config).all_fields
+        for i, field in enumerate(fields):
+            assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
+            for other in fields[i + 1 :]:
+                assert commutator(field, other) == pytest.approx(0.0, abs=1e-12)
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -179,11 +201,12 @@ class TestNetworkStructure:
         ],
     )
     def test_outputs_canonical_and_commuting(self, config):
-        fields = build_scenario(config).all_fields
-        for i, field in enumerate(fields):
-            assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
-            for other in fields[i + 1 :]:
-                assert commutator(field, other) == pytest.approx(0.0, abs=1e-12)
+        self._assert_canonical_and_commuting(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=scenario_configs())
+    def test_outputs_canonical_and_commuting_any_config(self, config):
+        self._assert_canonical_and_commuting(config)
 
 
 class TestBalancedOperation:
@@ -341,6 +364,8 @@ class TestSweep:
             sweep_gain(config, [])
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep_gain(config, [0.0, 0.0, 0.1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep_gain(config, [1.0, math.nan, 0.5])
         with pytest.raises(ValueError, match="at least 2"):
             default_gain_grid(0.0, 1.5, 1)
         with pytest.raises(ValueError, match="start < stop"):
@@ -383,6 +408,9 @@ class TestSweep:
             SweepTable(column, column, column, column[:1])
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepTable(column[::-1], column, column, column)
+        gains = array("d", [1.0, math.nan, 0.5])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepTable(gains, gains, gains, gains)
 
     def test_peak_prefers_earliest_tie(self):
         gains = array("d", [0.0, 0.5, 1.0, 1.5])

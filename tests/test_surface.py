@@ -5,8 +5,10 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import mzteleport
-from mzteleport import cli
+from mzteleport import HORIZONTAL, ScenarioConfig, build_scenario, cli, fock
 
 # The README example, the sweeps, the channel parameters and the
 # independent verification routes; everything else lives in a submodule.
@@ -41,6 +43,7 @@ PUBLIC = [
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 TRACER_SLOTS = 15
+SUBMODULES = ["cli", "fock", "modes", "photometry", "scenarios", "teleporter"]
 
 
 class TestPublicNames:
@@ -56,6 +59,12 @@ class TestPublicNames:
         del namespace["__builtins__"]
         assert sorted(namespace) == sorted(PUBLIC)
 
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodule_exports_resolve(self, name):
+        module = importlib.import_module(f"mzteleport.{name}")
+        missing = [export for export in module.__all__ if not hasattr(module, export)]
+        assert missing == []
+
 
 class TestBenchmarkHooks:
     """The benchmark wraps package attributes by name; a rename must fail here."""
@@ -68,13 +77,20 @@ class TestBenchmarkHooks:
         patches = tracer_module.LayerPatches(tracer)
         slots = [(owner, name, original) for owner, name, original, _ in patches._slots]
         assert len(slots) == TRACER_SLOTS
+        # A dark-port field of layout c: its support leaves out both signal modes.
+        dark = build_scenario(ScenarioConfig("c", "two-mode", 0.5, 1.125)).port_b[0]
+        modes = dark.terms.keys() | {mode.index for mode in dark.registry.signal_pair()}
         patches.apply()
         try:
             code = cli.main(["sweep", "--steps", "3", "--out", str(tmp_path / "sweep.csv")])
+            fock.oracle_flux(dark, HORIZONTAL)
         finally:
             patches.restore()
         assert code == 0
         assert tracer.totals["scenarios.build_scenario"][0] == 3
         assert tracer.counts["modes.terms"] > 0
+        assert tracer.totals["fock.oracle_flux"][0] == 1
+        assert len(modes) == 7
+        assert tracer.counts["fock.cells"] == 4 ** len(modes)
         for owner, name, original in slots:
             assert getattr(owner, name) is original

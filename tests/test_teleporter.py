@@ -19,7 +19,6 @@ from mzteleport import (
 )
 from mzteleport.modes import (
     ModeRegistry,
-    Role,
     annihilator_field,
     combine,
     commutator,
@@ -29,12 +28,12 @@ from mzteleport.teleporter import noise_amplitudes, teleport_single_squeezer, te
 
 
 def channel_fixture():
-    """Registry with one input field and one fresh ancilla pair."""
+    """One input field and one fresh ancilla pair on a new registry."""
     reg = ModeRegistry()
-    c = annihilator_field(reg.fresh_mode("c", Role.SIGNAL_H))
-    f1 = reg.fresh_mode("f1", Role.SQUEEZER_ANCILLA)
-    f2 = reg.fresh_mode("f2", Role.SQUEEZER_ANCILLA)
-    return reg, c, f1, f2
+    c = annihilator_field(reg.fresh_mode("c"))
+    f1 = reg.fresh_mode("f1")
+    f2 = reg.fresh_mode("f2")
+    return c, f1, f2
 
 
 class TestSpec:
@@ -60,7 +59,7 @@ class TestSpec:
             TeleporterSpec(KIND_TWO_MODE, 1.0, math.inf)
 
     def test_kind_routing_enforced(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         single = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, 2.0)
         with pytest.raises(ValueError, match="two-mode channel"):
             teleport_two_mode(c, single, f1, f2)
@@ -74,7 +73,7 @@ class TestSpec:
 
 class TestTwoModeChannel:
     def test_unity_gain_no_entanglement(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         spec = TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)
         out = teleport_two_mode(c, spec, f1, f2)
         assert out.coefficient(c.support()[0]) == (1.0, 0.0)
@@ -85,7 +84,7 @@ class TestTwoModeChannel:
         # At the optimal gain the creation-side amplitude vanishes and the
         # channel is an attenuator of transmission gain^2 on a relabeled
         # vacuum mode.
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         gain = optimal_gain(1.125)
         assert gain == 1 / 3
         out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, gain, 1.125), f1, f2)
@@ -94,24 +93,16 @@ class TestTwoModeChannel:
             math.sqrt(1.0 - gain * gain), abs=1e-15
         )
 
-    def test_ancilla_reuse_rejected(self):
-        reg, c, f1, f2 = channel_fixture()
-        spec = TeleporterSpec(KIND_TWO_MODE, 0.8, 1.5)
-        teleport_two_mode(c, spec, f1, f2)
-        f3 = reg.fresh_mode("f3", Role.SQUEEZER_ANCILLA)
-        with pytest.raises(ValueError, match="already consumed"):
-            teleport_two_mode(c, spec, f1, f3)
-
     @pytest.mark.parametrize("gain", [0.0, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("H", [1.0, 1.125, 3.025])
     def test_output_canonical(self, gain, H):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, gain, H), f1, f2)
         assert commutator(out, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_classical_kind_equals_two_mode_at_unit_pump(self):
-        _, c1, f1a, f2a = channel_fixture()
-        _, c2, f1b, f2b = channel_fixture()
+        c1, f1a, f2a = channel_fixture()
+        c2, f1b, f2b = channel_fixture()
         classical = teleport_two_mode(c1, TeleporterSpec(KIND_CLASSICAL, 0.7, 1.0), f1a, f2a)
         two_mode = teleport_two_mode(c2, TeleporterSpec(KIND_TWO_MODE, 0.7, 1.0), f1b, f2b)
         assert classical.terms == two_mode.terms
@@ -121,7 +112,7 @@ class TestTwoModeChannel:
         # so the total weight is bounded by 1/sqrt(H-1) and ~ 1/sqrt(H).
         weights = []
         for H in (10.0, 100.0, 1e4):
-            _, c, f1, f2 = channel_fixture()
+            c, f1, f2 = channel_fixture()
             out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, 1.0, H), f1, f2)
             weight = abs(out.coefficient(f1)[1]) + abs(out.coefficient(f2)[0])
             assert weight <= 1.0 / math.sqrt(H - 1.0)
@@ -131,7 +122,7 @@ class TestTwoModeChannel:
 
 class TestSingleSqueezerChannel:
     def test_zero_gain_form(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         H = 2.0
         out = teleport_single_squeezer(c, TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.0, H), f1, f2)
         r = math.sqrt(0.5)
@@ -144,7 +135,7 @@ class TestSingleSqueezerChannel:
     def test_unity_gain_noise_is_single_quadrature(self):
         # With 87.5% squeezing all added noise sits in one quadrature:
         # variances (2.25, 0).
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         spec = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, squeezing_to_H(0.875))
         out = teleport_single_squeezer(c, spec, f1, f2)
         noise = combine(1.0, out, -1.0, c)
@@ -153,7 +144,7 @@ class TestSingleSqueezerChannel:
         assert v_p == 0.0
 
     def test_output_canonical(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         spec = TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.7, 2.53125)
         out = teleport_single_squeezer(c, spec, f1, f2)
         assert commutator(out, out) == pytest.approx(1.0, abs=1e-12)
@@ -163,8 +154,8 @@ class TestComposedChannel:
     @pytest.mark.parametrize("gain", [0.5, 1.0])
     @pytest.mark.parametrize("H", [1.125, 3.025])
     def test_matches_direct_map_in_magnitude(self, gain, H):
-        _, c1, f1a, f2a = channel_fixture()
-        _, c2, f1b, f2b = channel_fixture()
+        c1, f1a, f2a = channel_fixture()
+        c2, f1b, f2b = channel_fixture()
         spec = TeleporterSpec(KIND_TWO_MODE, gain, H)
         direct = teleport_two_mode(c1, spec, f1a, f2a)
         composed = teleport_composed(c2, spec, f1b, f2b)
@@ -175,14 +166,14 @@ class TestComposedChannel:
             assert abs(dv) == pytest.approx(abs(cv), abs=1e-12)
 
     def test_strong_squeezing_limit(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1e4), f1, f2)
         assert abs(out.coefficient(c.support()[0])[0]) == pytest.approx(1.0, abs=1e-12)
         creation_weight = abs(out.coefficient(f1)[1]) + abs(out.coefficient(f2)[1])
         assert creation_weight <= 0.006
 
     def test_no_entanglement_noise_variances(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1.0), f1, f2)
         noise = combine(1.0, out, -1.0, c)
         v_x, v_p = quadrature_variances(noise)
@@ -190,7 +181,7 @@ class TestComposedChannel:
         assert v_p == pytest.approx(2.0, abs=1e-12)
 
     def test_output_canonical(self):
-        _, c, f1, f2 = channel_fixture()
+        c, f1, f2 = channel_fixture()
         out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 0.7, 2.0), f1, f2)
         assert commutator(out, out) == pytest.approx(1.0, abs=1e-12)
 
@@ -214,6 +205,8 @@ class TestOperatingPoints:
         assert squeezing_to_H(0.5) == 1.125
         assert squeezing_to_H(0.875) == 2.53125
         assert squeezing_to_H(0.9) == pytest.approx(3.025, abs=1e-12)
+        # The plain formula rounds to 0.9999999999999999 here, an invalid pump gain.
+        assert squeezing_to_H(2.806881719332319e-16) == 1.0
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             squeezing_to_H(1.0)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
