@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_canonical_field, random_qubit
+from fock_reference import operator_matrix, uniform_oracle_flux
 from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
@@ -21,7 +22,7 @@ from mzteleport import (
     photon_flux,
     squeezing_to_H,
 )
-from mzteleport.fock import ladder_matrix, operator_matrix
+from mzteleport.fock import ladder_matrix
 from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
@@ -159,9 +160,9 @@ class TestOracleFlux:
             state = random_qubit(rng)
             formula = photon_flux(field, state)
             exact_3 = oracle_flux(field, state, cutoff=3)
-            exact_4 = oracle_flux(field, state, cutoff=4)
+            uniform_4 = uniform_oracle_flux(field, state, cutoff=4)
             assert exact_3 == pytest.approx(formula, abs=1e-10)
-            assert exact_3 == pytest.approx(exact_4, abs=1e-12)
+            assert exact_3 == pytest.approx(uniform_4, abs=1e-12)
 
     def test_random_fields_match_dense_operator(self, rng, signal_registry):
         modes = list(signal_registry)
@@ -186,8 +187,11 @@ class TestOracleFlux:
         state = QubitInput(0.6, 0.8j)
         for field in outputs.all_fields:
             formula = photon_flux(field, state)
-            for cutoff in (3, 4, 5):
-                assert oracle_flux(field, state, cutoff) == pytest.approx(formula, abs=1e-10)
+            assert oracle_flux(field, state, 3) == pytest.approx(formula, abs=1e-10)
+            for cutoff in (4, 5):
+                assert uniform_oracle_flux(field, state, cutoff) == pytest.approx(
+                    formula, abs=1e-10
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -216,6 +220,50 @@ class TestOracleFlux:
         scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
         assert abs(oracle_flux(field, state) - photon_flux(field, state)) <= 1e-10 * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        signals=st.sampled_from([(), (0,), (1,), (0, 1)]),
+        spares=st.sets(st.integers(2, 5), max_size=4),
+        coefficients=st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+        cutoff=st.integers(3, 5),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_property_matches_uniform_cutoff(
+        self, signals, spares, coefficients, cutoff, theta, phi
+    ):
+        # The support holds neither, one or both signal modes; a signal mode
+        # outside it still carries the input photon.
+        reg = ModeRegistry()
+        reg.fresh_mode("a_h")
+        reg.fresh_mode("a_v")
+        for i in range(4):
+            reg.fresh_mode(f"m{i}")
+        chosen = (*signals, *spares)
+        field = field_from_terms(reg, {reg.mode(i): coefficients[i] for i in chosen})
+        state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+        scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
+        uniform = uniform_oracle_flux(field, state, cutoff)
+        assert abs(oracle_flux(field, state, 3) - uniform) <= 1e-12 * scale
+
+    def test_sixteen_modes_fit(self, rng):
+        # 14 vacuum modes beside both signal modes: 3**2 * 2**14 = 147456
+        # cells, where a uniform cutoff of 3 would need 4**16.
+        reg = ModeRegistry()
+        modes = [reg.fresh_mode("a_h"), reg.fresh_mode("a_v")]
+        modes += [reg.fresh_mode(f"m{i}") for i in range(14)]
+        field = random_canonical_field(reg, modes, rng)
+        state = random_qubit(rng)
+        scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
+        assert abs(oracle_flux(field, state) - photon_flux(field, state)) <= 1e-10 * scale
+
     def test_cutoff_floor(self):
         reg = ModeRegistry()
         sig_h = reg.fresh_mode("a_h")
@@ -224,10 +272,11 @@ class TestOracleFlux:
             oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0), cutoff=2)
 
     def test_resource_guard(self):
+        # Both signal modes and 19 vacuum modes: 3**2 * 2**19 cells at any cutoff.
         reg = ModeRegistry()
         reg.fresh_mode("a_h")
         reg.fresh_mode("a_v")
-        modes = [reg.fresh_mode(f"m{i}") for i in range(10)]
+        modes = [reg.fresh_mode(f"m{i}") for i in range(19)]
         wide = field_from_terms(reg, {m: (1.0, 0.0) for m in modes})
         with pytest.raises(ValueError, match="state vector"):
             oracle_flux(wide, QubitInput(1.0, 0.0), cutoff=4)
