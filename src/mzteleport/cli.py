@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from itertools import islice
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .scenarios import ETA_AUTO, ScenarioConfig, SweepTable, default_gain_grid, sweep_gain
 from .teleporter import (
@@ -23,7 +24,7 @@ from .teleporter import (
     squeezing_to_H,
 )
 
-__all__ = ["main", "build_parser", "figure_curves"]
+__all__ = ["main", "build_parser", "FIGURES"]
 
 _SOURCE_BY_FLAG = {
     "two-mode": KIND_TWO_MODE,
@@ -31,10 +32,29 @@ _SOURCE_BY_FLAG = {
     "none": KIND_CLASSICAL,
 }
 
-_FIGURES = ("fig3", "fig4", "fig5")
+_TWO_MODE_CURVES = tuple((f"two-mode s={s:g}", KIND_TWO_MODE, s) for s in (0.0, 0.5, 0.9))
+_SOURCE_CURVES = (*_TWO_MODE_CURVES, ("single-squeezer s=0.875", KIND_SINGLE_SQUEEZER, 0.875))
+
+# The labelled configurations behind each figure preset, each swept across
+# the figure's grid (``gain`` is replaced by every grid point). fig3: layout
+# a, fig4: layout b with per-gain optimized attenuation, both at two-mode
+# squeezing 0, 0.5 and 0.9 plus the single-squeezer source at 0.875; fig5:
+# layout c at the three two-mode squeezings.
+FIGURES: dict[str, list[tuple[str, ScenarioConfig]]] = {
+    name: [
+        (label, ScenarioConfig(layout, source, 0.0, squeezing_to_H(s), eta))
+        for label, source, s in curves
+    ]
+    for name, layout, eta, curves in (
+        ("fig3", "a", None, _SOURCE_CURVES),
+        ("fig4", "b", ETA_AUTO, _SOURCE_CURVES),
+        ("fig5", "c", None, _TWO_MODE_CURVES),
+    )
+}
 
 SWEEP_HEADER = ("lambda", "count_a", "count_b", "visibility")
 FIDELITY_HEADER = ("source", "squeezing", "H", "fidelity")
+_SEPARATORS = {"csv": ",", "tsv": "\t", "gnuplot": " "}
 
 # Lines joined into one write: a few hundred kB, so memory stays flat in
 # the table length while the writes stay few.
@@ -58,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sweep)
 
     figure = commands.add_parser("figure", help="preset multi-curve sweep collections")
-    figure.add_argument("name", choices=_FIGURES, help="which preset to emit")
+    figure.add_argument("name", choices=tuple(FIGURES), help="which preset to emit")
     _add_grid_flags(figure)
     _add_output_flags(figure)
 
@@ -71,15 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity = commands.add_parser(
         "fidelity", help="average coherent-state fidelity at unity gain"
     )
-    fidelity.add_argument("--source", choices=sorted(_SOURCE_BY_FLAG), default="two-mode")
-    _add_squeezing_flags(fidelity)
+    _add_source_flags(fidelity)
     _add_output_flags(fidelity)
 
     lock = commands.add_parser(
         "lock-curve", help="dark-port sweep of the dual-teleporter arrangement"
     )
-    lock.add_argument("--source", choices=sorted(_SOURCE_BY_FLAG), default="two-mode")
-    _add_squeezing_flags(lock)
+    _add_source_flags(lock)
     _add_grid_flags(lock)
     _add_output_flags(lock)
     lock.set_defaults(scenario="c", eta=None)
@@ -90,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve(parser, args)
+    evaluate = _resolve(parser, args)
     try:
-        lines = _render(args)
+        lines = evaluate()
         if args.out is None:
             _write_blocks(sys.stdout, lines)
         else:
@@ -104,42 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def figure_curves(
-    name: str, grid_start: float = 0.0, grid_stop: float = 1.5, grid_steps: int = 301
-) -> list[tuple[str, SweepTable]]:
-    """The labeled sweep curves behind each figure preset.
-
-    ``fig3``: layout a at two-mode squeezing 0, 0.5 and 0.9 plus the
-    single-squeezer source at squeezing 0.875. ``fig4``: the same four
-    sources in layout b with per-gain optimized attenuation. ``fig5``:
-    layout c at two-mode squeezing 0, 0.5 and 0.9.
-    """
-    if name not in _FIGURES:
-        raise ValueError(f"unknown figure {name!r}")
-    grid = default_gain_grid(grid_start, grid_stop, grid_steps)
-    two_mode_levels = (0.0, 0.5, 0.9)
-    curves: list[tuple[str, SweepTable]] = []
-    if name in ("fig3", "fig4"):
-        layout = "a" if name == "fig3" else "b"
-        eta = None if name == "fig3" else ETA_AUTO
-        for s in two_mode_levels:
-            config = ScenarioConfig(layout, KIND_TWO_MODE, 0.0, squeezing_to_H(s), eta)
-            curves.append((f"two-mode s={s:g}", sweep_gain(config, grid)))
-        config = ScenarioConfig(
-            layout, KIND_SINGLE_SQUEEZER, 0.0, squeezing_to_H(0.875), eta
-        )
-        curves.append(("single-squeezer s=0.875", sweep_gain(config, grid)))
-    else:
-        for s in two_mode_levels:
-            config = ScenarioConfig("c", KIND_TWO_MODE, 0.0, squeezing_to_H(s))
-            curves.append((f"two-mode s={s:g}", sweep_gain(config, grid)))
-    return curves
-
-
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", choices=("a", "b", "c"), default="a")
-    sub.add_argument("--source", choices=sorted(_SOURCE_BY_FLAG), default="two-mode")
-    _add_squeezing_flags(sub)
+    _add_source_flags(sub)
     sub.add_argument(
         "--eta",
         type=_eta_flag,
@@ -148,7 +133,8 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_squeezing_flags(sub: argparse.ArgumentParser) -> None:
+def _add_source_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--source", choices=sorted(_SOURCE_BY_FLAG), default="two-mode")
     group = sub.add_mutually_exclusive_group()
     group.add_argument(
         "--squeezing",
@@ -182,52 +168,51 @@ def _eta_flag(text: str) -> float | str:
         raise argparse.ArgumentTypeError(f"must be 'auto' or a number, got {text!r}") from None
 
 
-def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Build the library values a command needs onto ``args``.
+def _resolve(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Callable[[], Iterable[str]]:
+    """Check the command's values; return the evaluation that renders them.
 
-    Sets ``grid`` for every command with grid flags, ``config`` for the
-    sweeping commands and ``spec`` for ``fidelity``. The library checks
-    every physical range, so the command line accepts exactly what the
-    library accepts; a value it rejects is a usage error.
+    Every configuration is built at the first gain of its grid. The
+    library checks every physical range, so the command line accepts
+    exactly what the library accepts; a value it rejects is a usage error.
+    The evaluation completes every table before it returns the lines,
+    each ending in a newline, so an evaluation failure writes nothing.
     """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
     try:
-        if args.command != "fidelity":
-            args.grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
+        if args.command == "fidelity":
+            spec = TeleporterSpec(_SOURCE_BY_FLAG[args.source], 1.0, _pump_gain(args))
+            return lambda: _render_line(
+                FIDELITY_HEADER,
+                (spec.kind, H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec)),
+                args,
+            )
+        grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
+        gain = float(grid[0])
         if args.command == "classical-max":
-            args.config = ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0)
-        elif args.command != "figure":
+            config = ScenarioConfig("a", KIND_CLASSICAL, gain, 1.0)
+            return lambda: _render_line(
+                ("lambda_max", "visibility_max"), sweep_gain(config, grid).peak()[::3], args
+            )
+        if args.command == "figure":
+            curves = [(label, replace(config, gain=gain)) for label, config in FIGURES[args.name]]
+        else:
+            eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
             source = _SOURCE_BY_FLAG[args.source]
-            H = 1.0 if args.H is None else args.H
-            if args.squeezing is not None:
-                H = squeezing_to_H(args.squeezing)
-            if args.command == "fidelity":
-                args.spec = TeleporterSpec(source, 1.0, H)
-            else:
-                eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
-                args.config = ScenarioConfig(args.scenario, source, 0.0, H, eta)
+            curves = [(None, ScenarioConfig(args.scenario, source, gain, _pump_gain(args), eta))]
     except ValueError as exc:
         parser.error(str(exc))
+    return lambda: _render_tables(
+        [(label, sweep_gain(config, grid)) for label, config in curves], args
+    )
 
 
-def _render(args: argparse.Namespace) -> Iterable[str]:
-    """Evaluate the command, then return its output lines, each ending in a newline.
-
-    Every table is complete before this returns; only the formatting is
-    left to the returned iterator, so an evaluation failure writes nothing.
-    """
-    if args.command in ("sweep", "lock-curve"):
-        return _render_table(sweep_gain(args.config, args.grid), args)
-    if args.command == "figure":
-        curves = figure_curves(args.name, args.gain_min, args.gain_max, args.steps)
-        return _render_curves(curves, args)
-    if args.command == "classical-max":
-        peak = sweep_gain(args.config, args.grid).peak()
-        return _render_line(("lambda_max", "visibility_max"), (peak.gain, peak.visibility), args)
-    spec = args.spec
-    values = (H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec))
-    return _render_line(FIDELITY_HEADER, (spec.kind, *values), args)
+def _pump_gain(args: argparse.Namespace) -> float:
+    if args.squeezing is not None:
+        return squeezing_to_H(args.squeezing)
+    return 1.0 if args.H is None else args.H
 
 
 def _write_blocks(stream: TextIO, lines: Iterable[str]) -> None:
@@ -239,51 +224,43 @@ def _write_blocks(stream: TextIO, lines: Iterable[str]) -> None:
 
 def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> list[str]:
     """A header line and one row; strings pass through, numbers are formatted."""
-    sep = _separator(args.format)
-    cells = (v if isinstance(v, str) else _fmt(v, args.precision) for v in row)
+    sep = _SEPARATORS[args.format]
+    cells = (v if isinstance(v, str) else format(float(v), f".{args.precision}g") for v in row)
     return [sep.join(header) + "\n", sep.join(cells) + "\n"]
 
 
-def _separator(fmt: str) -> str:
-    return {"csv": ",", "tsv": "\t", "gnuplot": " "}[fmt]
-
-
-def _fmt(value: float, precision: int) -> str:
-    return format(float(value), f".{precision}g")
-
-
-def _render_table(table: SweepTable, args: argparse.Namespace) -> Iterator[str]:
-    sep = _separator(args.format)
-    if args.format == "gnuplot":
-        yield "# " + " ".join(SWEEP_HEADER) + "\n"
-    else:
-        yield sep.join(SWEEP_HEADER) + "\n"
-    yield from _row_lines(table, sep, args.precision)
-
-
-def _render_curves(
-    curves: list[tuple[str, SweepTable]], args: argparse.Namespace
+def _render_tables(
+    tables: list[tuple[str | None, SweepTable]], args: argparse.Namespace
 ) -> Iterator[str]:
-    if args.format == "gnuplot":
-        for index, (label, table) in enumerate(curves):
+    """Sweep tables as lines: a figure's curves are labelled, a sweep's one curve is not.
+
+    csv and tsv put every curve under one header, with a leading ``curve``
+    column when labelled; gnuplot gives each curve its own commented
+    block, separated by blank lines.
+    """
+    sep = _SEPARATORS[args.format]
+    header = sep.join(SWEEP_HEADER) + "\n"
+    line = sep.join([f"{{:.{args.precision}g}}"] * 4) + "\n"
+    gnuplot = args.format == "gnuplot"
+    if not gnuplot:
+        yield header if tables[0][0] is None else "curve" + sep + header
+    for index, (label, table) in enumerate(tables):
+        prefix = ""
+        if gnuplot:
             if index:
                 yield "\n"
-            yield f"# {label}\n"
-            yield from _render_table(table, args)
-        return
-    sep = _separator(args.format)
-    yield sep.join(("curve", *SWEEP_HEADER)) + "\n"
-    for label, table in curves:
-        yield from _row_lines(table, sep, args.precision, label + sep)
-
-
-def _row_lines(
-    table: SweepTable, sep: str, precision: int, prefix: str = ""
-) -> Iterator[str]:
-    """One line per row, each number as :func:`_fmt` writes it."""
-    line = sep.join([f"{{:.{precision}g}}"] * 4) + "\n"
-    for row in zip(table.gains, table.count_a, table.count_b, table.visibility):
-        yield prefix + line.format(*row)
+            if label is not None:
+                yield f"# {label}\n"
+            yield "# " + header
+        elif label is not None:
+            prefix = label + sep
+        # Python floats, one block of lines at a time: formatting numpy
+        # scalars directly costs a few microseconds more per row.
+        columns = (table.gains, table.count_a, table.count_b, table.visibility)
+        for start in range(0, len(table.gains), WRITE_BLOCK_LINES):
+            block = (column[start : start + WRITE_BLOCK_LINES].tolist() for column in columns)
+            for row in zip(*block):
+                yield prefix + line.format(*row)
 
 
 if __name__ == "__main__":

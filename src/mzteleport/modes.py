@@ -26,7 +26,6 @@ __all__ = [
     "commutator",
     "beamsplitter",
     "two_mode_squeezer",
-    "single_mode_squeezer",
     "attenuate",
     "quadrature_variances",
     "check_pump_gain",
@@ -205,12 +204,6 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
     e1 = field_from_terms(registry, {f1: (cosh, 0.0), f2: (0.0, sinh)})
     e2 = field_from_terms(registry, {f2: (cosh, 0.0), f1: (0.0, sinh)})
     return e1, e2
-
-
-def single_mode_squeezer(f: ModeId, H: float) -> LinearField:
-    """Squeezed beam ``sqrt(H) f + sqrt(H-1) f^dag`` from one fresh ancilla."""
-    check_pump_gain(H)
-    return field_from_terms(f.registry, {f: (math.sqrt(H), math.sqrt(H - 1.0))})
 
 
 def attenuate(field_d: LinearField, eta: float, g: ModeId) -> LinearField:

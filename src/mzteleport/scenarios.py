@@ -17,10 +17,8 @@ and per polarization.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
-from itertools import pairwise
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -221,42 +219,43 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A gain sweep of one scenario: four float64 columns, one entry per gain point."""
+    """A gain sweep of one scenario: four float64 numpy columns, one entry per gain point.
 
-    gains: array
-    count_a: array
-    count_b: array
-    visibility: array
+    ``gains`` is a read-only view of the caller's grid when that is a
+    float64 array, so a sweep holds its grid once; the caller's array
+    stays writeable.
+    """
+
+    gains: np.ndarray
+    count_a: np.ndarray
+    count_b: np.ndarray
+    visibility: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gains", _gain_column(self.gains))
+        for name in ("count_a", "count_b", "visibility"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         columns = (self.gains, self.count_a, self.count_b, self.visibility)
         if len({len(column) for column in columns}) != 1:
             raise ValueError("sweep columns must have equal lengths")
-        if any(not b > a for a, b in pairwise(self.gains)):
-            raise ValueError("sweep rows must be strictly increasing in gain")
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
         """The table row by row, built on each access."""
-        return tuple(map(SweepRow, self.gains, self.count_a, self.count_b, self.visibility))
+        columns = (self.gains, self.count_a, self.count_b, self.visibility)
+        return tuple(map(SweepRow, *(column.tolist() for column in columns)))
 
     def peak(self) -> SweepRow:
         """The row of maximum visibility (earliest gain on ties)."""
-        best: int | None = None
-        for k, fringe in enumerate(self.visibility):
-            if math.isnan(fringe):
-                continue
-            if best is None or fringe > self.visibility[best]:
-                best = k
-        if best is None:
+        if np.isnan(self.visibility).all():
             raise ValueError("sweep contains no row with defined visibility")
-        return SweepRow(
-            self.gains[best], self.count_a[best], self.count_b[best], self.visibility[best]
-        )
+        best = int(np.nanargmax(self.visibility))
+        columns = (self.gains, self.count_a, self.count_b, self.visibility)
+        return SweepRow(*(float(column[best]) for column in columns))
 
 
-def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable:
-    """Evaluate the scenario across a strictly increasing gain grid.
+def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) -> SweepTable:
+    """Evaluate the scenario across a non-empty, strictly increasing gain grid.
 
     ``config.gain`` is replaced row by row; an ``eta = "auto"`` setting is
     re-optimized at every gain. A row whose ports are both exactly dark
@@ -264,25 +263,31 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Iterable[float]) -> SweepTable
     A count that overflows the float range raises ``OverflowError``
     naming the gain of its row.
     """
-    gains = array("d", map(float, gain_grid))
-    if not gains:
-        raise ValueError("gain grid is empty")
-    if any(not b > a for a, b in pairwise(gains)):
-        raise ValueError("gain grid must be strictly increasing")
-    count_a, count_b, fringes = array("d"), array("d"), array("d")
-    for gain in gains:
+    gains = _gain_column(gain_grid)
+    count_a, count_b, fringes = np.empty((3, len(gains)))
+    for k, gain in enumerate(map(float, gains)):
         try:
             counts = evaluate_counts(replace(config, gain=gain))
         except OverflowError as exc:
             raise OverflowError(f"a photon count overflowed at gain {gain!r}") from exc
         try:
-            fringe = visibility(counts)
+            fringes[k] = visibility(counts)
         except ValueError:
-            fringe = math.nan
-        count_a.append(counts.count_a)
-        count_b.append(counts.count_b)
-        fringes.append(fringe)
+            fringes[k] = math.nan
+        count_a[k] = counts.count_a
+        count_b[k] = counts.count_b
     return SweepTable(gains, count_a, count_b, fringes)
+
+
+def _gain_column(gain_grid: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A read-only float64 view of a non-empty, strictly increasing gain grid."""
+    gains = np.asarray(gain_grid, dtype=np.float64).view()
+    gains.flags.writeable = False
+    if not gains.size:
+        raise ValueError("gain grid is empty")
+    if not (gains[1:] > gains[:-1]).all():
+        raise ValueError("gain grid must be strictly increasing")
+    return gains
 
 
 def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -> np.ndarray:

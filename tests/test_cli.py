@@ -6,6 +6,7 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +17,12 @@ from mzteleport import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     ScenarioConfig,
+    cli,
     default_gain_grid,
     squeezing_to_H,
     sweep_gain,
 )
-from mzteleport.cli import WRITE_BLOCK_LINES, _write_blocks, figure_curves, main
+from mzteleport.cli import FIGURES, WRITE_BLOCK_LINES, _write_blocks, main
 from mzteleport.scenarios import MAX_GRID_STEPS
 
 SWEEP_HEADER = "lambda,count_a,count_b,visibility"
@@ -145,25 +147,42 @@ class TestFigureCommand:
         assert len(lines) == 1 + 4 * 4
 
     def test_fig5_classical_curve_is_flat(self):
-        curves = dict(figure_curves("fig5", 0.0, 1.5, 16))
-        flat = curves["two-mode s=0"]
+        flat = sweep_gain(dict(FIGURES["fig5"])["two-mode s=0"], default_gain_grid(0.0, 1.5, 16))
         for row in flat.rows[1:]:
             assert row.visibility == pytest.approx(0.2, abs=1e-12)
 
     def test_fig4_unit_visibility_at_balanced_gain(self):
-        curves = dict(figure_curves("fig4", 1 / 3, 1.5, 2))
-        balanced = curves["two-mode s=0.5"].rows[0]
+        config = dict(FIGURES["fig4"])["two-mode s=0.5"]
+        balanced = sweep_gain(config, default_gain_grid(1 / 3, 1.5, 2)).rows[0]
         assert balanced.gain == 1 / 3
         assert balanced.visibility == 1.0
 
-    def test_figure_is_pure_composition(self):
-        # The preset must equal a direct library sweep, row for row.
-        curves = dict(figure_curves("fig5", 0.0, 1.5, 16))
-        direct = sweep_gain(
-            ScenarioConfig("c", KIND_TWO_MODE, 0.0, 1.125),
-            default_gain_grid(0.0, 1.5, 16),
-        )
-        assert curves["two-mode s=0.5"].rows == direct.rows
+    def test_figure_is_pure_composition(self, capsys):
+        # The printed preset must equal direct library sweeps, row for row.
+        _, out, _ = run_cli(capsys, ["figure", "fig5", "--steps", "16", "--precision", "17"])
+        printed = [line.split(",") for line in out.splitlines()[1:]]
+        grid = default_gain_grid(0.0, 1.5, 16)
+        expected = [
+            [f"two-mode s={s:g}", *map(repr, row)]
+            for s in (0.0, 0.5, 0.9)
+            for config in [ScenarioConfig("c", KIND_TWO_MODE, 0.0, squeezing_to_H(s))]
+            for row in sweep_gain(config, grid).rows
+        ]
+        assert [[label, *map(repr, map(float, row))] for label, *row in printed] == expected
+
+    def test_figure_tables_share_one_grid(self, monkeypatch, capsys):
+        tables = []
+
+        def recording_sweep(config, grid):
+            tables.append(sweep_gain(config, grid))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "sweep_gain", recording_sweep)
+        code, _, _ = run_cli(capsys, ["figure", "fig3", "--steps", "5"])
+        assert code == 0
+        assert len(tables) == 4
+        for table in tables[1:]:
+            assert np.shares_memory(table.gains, tables[0].gains)
 
     def test_gnuplot_blocks(self, capsys):
         _, out, _ = run_cli(capsys, ["figure", "fig5", "--steps", "3", "--format", "gnuplot"])
@@ -246,6 +265,11 @@ class TestUsageErrors:
             ["sweep", "--gain-min=-1e308", "--gain-max", "1e308"],
             ["sweep", "--gain-min", "1", "--gain-max", "1.000000000000001", "--steps", "100"],
             ["unknown-command"],
+            # A negative first gain is rejected by the configuration built at it.
+            ["sweep", "--gain-min", "-0.5"],
+            ["lock-curve", "--gain-min", "-0.5"],
+            ["classical-max", "--gain-min=-1e-9"],
+            ["figure", "fig4", "--gain-min", "-0.5"],
         ],
     )
     def test_exit_code_2(self, capsys, argv):
@@ -282,7 +306,7 @@ class TestUsageErrors:
         argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
         kind = {"two-mode": KIND_TWO_MODE, "single": KIND_SINGLE_SQUEEZER, "none": KIND_CLASSICAL}
         try:
-            default_gain_grid(
+            grid = default_gain_grid(
                 0.0 if gain_min is None else gain_min, 1.5 if gain_max is None else gain_max, steps
             )
             H = 1.0
@@ -290,7 +314,7 @@ class TestUsageErrors:
                 H = squeezing_to_H(pump[1]) if pump[0] == "--squeezing" else pump[1]
             if scenario == "b" and eta is None:
                 eta = ETA_AUTO
-            ScenarioConfig(scenario, kind[source], 0.0, H, eta)
+            ScenarioConfig(scenario, kind[source], float(grid[0]), H, eta)
             rejected = False
         except ValueError:
             rejected = True

@@ -17,7 +17,6 @@ from mzteleport.modes import (
     dagger,
     field_from_terms,
     quadrature_variances,
-    single_mode_squeezer,
     two_mode_squeezer,
 )
 
@@ -227,24 +226,6 @@ class TestSqueezers:
         for H in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match=">= 1"):
                 two_mode_squeezer(f1, f2, H)
-
-    def test_single_mode_squeezer(self):
-        reg = fresh_registry()
-        f = reg.fresh_mode("f")
-        squeezed = single_mode_squeezer(f, 2.53125)
-        u, v = squeezed.coefficient(f)
-        assert u == pytest.approx(1.59099, abs=5e-6)
-        assert v == pytest.approx(1.23744, abs=5e-6)
-        assert commutator(squeezed, squeezed) == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_mode_identity_and_errors(self):
-        reg = fresh_registry()
-        f = reg.fresh_mode("f")
-        assert single_mode_squeezer(f, 1.0) == annihilator_field(f)
-        g = reg.fresh_mode("g")
-        for H in (0.99, math.nan, math.inf):
-            with pytest.raises(ValueError, match=">= 1"):
-                single_mode_squeezer(g, H)
 
 
 class TestAttenuator:

@@ -402,6 +402,15 @@ class TestSweep:
         with pytest.raises(OverflowError, match=message):
             reference_counts(replace(config, gain=gain))
 
+    def test_gains_are_a_read_only_view_of_the_grid(self):
+        grid = default_gain_grid(0.0, 1.5, 5)
+        table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), grid)
+        assert np.shares_memory(table.gains, grid)
+        assert not table.gains.flags.writeable
+        assert grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.gains[0] = 1.0
+
     def test_columns_must_match(self):
         column = array("d", [0.0, 0.5])
         with pytest.raises(ValueError, match="equal lengths"):

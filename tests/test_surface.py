@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import re
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,7 @@ PUBLIC = [
     "__version__",
 ]
 
+README_PATH = Path(__file__).resolve().parent.parent / "README.md"
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 TRACER_SLOTS = 15
 SUBMODULES = ["cli", "fock", "modes", "photometry", "scenarios", "teleporter"]
@@ -64,6 +68,18 @@ class TestPublicNames:
         module = importlib.import_module(f"mzteleport.{name}")
         missing = [export for export in module.__all__ if not hasattr(module, export)]
         assert missing == []
+
+
+class TestReadme:
+    def test_python_example_prints_what_it_claims(self):
+        # The README's one Python block: a locked dark port and unit visibility.
+        (example,) = re.findall(r"```python\n(.*?)```", README_PATH.read_text(), re.DOTALL)
+        out = StringIO()
+        with redirect_stdout(out):
+            exec(example, {})
+        dark, fringe = map(float, out.getvalue().split())
+        assert 0.0 <= dark < 1e-30
+        assert fringe == 1.0
 
 
 class TestBenchmarkHooks:
