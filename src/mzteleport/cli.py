@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from itertools import islice
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 from .scenarios import ETA_AUTO, ScenarioConfig, SweepTable, default_gain_grid, sweep_gain
 from .teleporter import (
@@ -110,12 +109,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     evaluate = _resolve(parser, args)
     try:
-        lines = evaluate()
+        blocks = evaluate()
         if args.out is None:
-            _write_blocks(sys.stdout, lines)
+            sys.stdout.writelines(blocks)
         else:
             with open(args.out, "w", encoding="ascii", newline="\n") as handle:
-                _write_blocks(handle, lines)
+                handle.writelines(blocks)
     except Exception as exc:  # noqa: BLE001 - map any evaluation failure to exit 1
         print(f"mzteleport: error: {exc}", file=sys.stderr)
         return 1
@@ -175,13 +174,14 @@ def _resolve(
 
     Every configuration is built at the first gain of its grid. The
     library checks every physical range, so the command line accepts
-    exactly what the library accepts; a value it rejects is a usage error.
-    The evaluation completes every table before it returns the lines,
-    each ending in a newline, so an evaluation failure writes nothing.
+    exactly what the library accepts; a value it rejects is a usage error,
+    as is a precision the formatter rejects. The evaluation completes every
+    table before it returns the text, so an evaluation failure writes nothing.
     """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
     try:
+        format(0.0, f".{args.precision}g")
         if args.command == "fidelity":
             spec = TeleporterSpec(_SOURCE_BY_FLAG[args.source], 1.0, _pump_gain(args))
             return lambda: _render_line(
@@ -215,13 +215,6 @@ def _pump_gain(args: argparse.Namespace) -> float:
     return 1.0 if args.H is None else args.H
 
 
-def _write_blocks(stream: TextIO, lines: Iterable[str]) -> None:
-    """Write ``lines`` in blocks of :data:`WRITE_BLOCK_LINES`."""
-    lines = iter(lines)
-    while block := "".join(islice(lines, WRITE_BLOCK_LINES)):
-        stream.write(block)
-
-
 def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> list[str]:
     """A header line and one row; strings pass through, numbers are formatted."""
     sep = _SEPARATORS[args.format]
@@ -232,11 +225,12 @@ def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) 
 def _render_tables(
     tables: list[tuple[str | None, SweepTable]], args: argparse.Namespace
 ) -> Iterator[str]:
-    """Sweep tables as lines: a figure's curves are labelled, a sweep's one curve is not.
+    """Sweep tables as text: a figure's curves are labelled, a sweep's one curve is not.
 
     csv and tsv put every curve under one header, with a leading ``curve``
     column when labelled; gnuplot gives each curve its own commented
-    block, separated by blank lines.
+    block, separated by blank lines. Rows come joined in blocks of
+    :data:`WRITE_BLOCK_LINES`, one write each.
     """
     sep = _SEPARATORS[args.format]
     header = sep.join(SWEEP_HEADER) + "\n"
@@ -254,13 +248,12 @@ def _render_tables(
             yield "# " + header
         elif label is not None:
             prefix = label + sep
-        # Python floats, one block of lines at a time: formatting numpy
+        # Python floats, one block of rows at a time: formatting numpy
         # scalars directly costs a few microseconds more per row.
         columns = (table.gains, table.count_a, table.count_b, table.visibility)
         for start in range(0, len(table.gains), WRITE_BLOCK_LINES):
             block = (column[start : start + WRITE_BLOCK_LINES].tolist() for column in columns)
-            for row in zip(*block):
-                yield prefix + line.format(*row)
+            yield "".join([prefix + line.format(*row) for row in zip(*block)])
 
 
 if __name__ == "__main__":

@@ -146,10 +146,14 @@ def evaluate_counts(config: ScenarioConfig) -> PortCounts:
     """Build the network and evaluate its photon counts.
 
     The counts do not depend on the input qubit, so the horizontal one
-    stands for every input.
+    stands for every input. A count that overflows the float range raises
+    ``OverflowError`` naming the gain.
     """
     outputs = build_scenario(config)
-    return port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
+    try:
+        return port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
+    except OverflowError as exc:
+        raise OverflowError(f"a photon count overflowed at gain {config.gain!r}") from exc
 
 
 def reference_counts(config: ScenarioConfig) -> PortCounts:
@@ -266,10 +270,7 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
     gains = _gain_column(gain_grid)
     count_a, count_b, fringes = np.empty((3, len(gains)))
     for k, gain in enumerate(map(float, gains)):
-        try:
-            counts = evaluate_counts(replace(config, gain=gain))
-        except OverflowError as exc:
-            raise OverflowError(f"a photon count overflowed at gain {gain!r}") from exc
+        counts = evaluate_counts(replace(config, gain=gain))
         try:
             fringes[k] = visibility(counts)
         except ValueError:
@@ -283,6 +284,8 @@ def _gain_column(gain_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     """A read-only float64 view of a non-empty, strictly increasing gain grid."""
     gains = np.asarray(gain_grid, dtype=np.float64).view()
     gains.flags.writeable = False
+    if gains.ndim != 1:
+        raise ValueError("gain grid must be one-dimensional")
     if not gains.size:
         raise ValueError("gain grid is empty")
     if not (gains[1:] > gains[:-1]).all():

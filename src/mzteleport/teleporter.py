@@ -17,7 +17,6 @@ from .modes import (
     LinearField,
     ModeId,
     ModeRegistry,
-    annihilator_field,
     beamsplitter,
     check_pump_gain,
     combine,
@@ -104,12 +103,7 @@ def teleport_two_mode(
     """
     if spec.kind not in (KIND_TWO_MODE, KIND_CLASSICAL):
         raise ValueError(f"two-mode channel cannot run a {spec.kind!r} spec")
-    creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
-    noise = field_from_terms(
-        c.registry,
-        {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)},
-    )
-    return combine(spec.gain, c, 1.0, noise)
+    return combine(spec.gain, c, 1.0, _channel_noise(spec, f1, f2))
 
 
 def teleport_single_squeezer(
@@ -125,15 +119,20 @@ def teleport_single_squeezer(
     """
     if spec.kind != KIND_SINGLE_SQUEEZER:
         raise ValueError(f"single-squeezer channel cannot run a {spec.kind!r} spec")
+    return combine(spec.gain, c, 1.0, _channel_noise(spec, f1, f2))
+
+
+def _channel_noise(spec: TeleporterSpec, f1: ModeId, f2: ModeId) -> LinearField:
+    """The noise field the channel adds to ``gain*c``, on the ancillas' registry."""
     creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
-    noise = field_from_terms(
-        c.registry,
-        {
+    if spec.kind == KIND_SINGLE_SQUEEZER:
+        terms = {
             f1: (passthrough_amp * _INV_SQRT2, creation_amp * _INV_SQRT2),
             f2: (_INV_SQRT2, spec.gain * _INV_SQRT2),
-        },
-    )
-    return combine(spec.gain, c, 1.0, noise)
+        }
+    else:
+        terms = {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)}
+    return field_from_terms(f1.registry, terms)
 
 
 def teleport_composed(
@@ -183,27 +182,22 @@ def squeezing_to_H(s: float) -> float:
 def H_to_squeezing(H: float) -> float:
     """Inverse of :func:`squeezing_to_H`."""
     check_pump_gain(H)
-    return 1.0 - 1.0 / (math.sqrt(H) + math.sqrt(H - 1.0)) ** 2
+    try:
+        return 1.0 - 1.0 / (math.sqrt(H) + math.sqrt(H - 1.0)) ** 2
+    except OverflowError:  # above H ~ 4.5e307, where the exact value rounds to 1
+        return 1.0
 
 
 def coherent_fidelity(spec: TeleporterSpec) -> float:
     """Average coherent-state fidelity of the channel at unity gain.
 
-    Computed from the quadrature variances (V_X, V_P) of the added noise
-    (output minus the transmitted input term) as
-    ``2 / sqrt((2 + V_X) * (2 + V_P))``; the classical channel lands on
-    exactly 1/2, the usual no-entanglement bound.
+    Computed from the quadrature variances (V_X, V_P) of the channel's
+    noise field as ``2 / sqrt((2 + V_X) * (2 + V_P))``; the classical
+    channel lands on exactly 1/2, the usual no-entanglement bound.
     """
     if spec.gain != 1.0:
         raise ValueError("coherent fidelity is defined at unity gain only")
     registry = ModeRegistry()
-    probe = annihilator_field(registry.fresh_mode("probe"))
-    f1 = registry.fresh_mode("ancilla_1")
-    f2 = registry.fresh_mode("ancilla_2")
-    if spec.kind == KIND_SINGLE_SQUEEZER:
-        output = teleport_single_squeezer(probe, spec, f1, f2)
-    else:
-        output = teleport_two_mode(probe, spec, f1, f2)
-    added_noise = combine(1.0, output, -spec.gain, probe)
-    v_x, v_p = quadrature_variances(added_noise)
+    f1, f2 = map(registry.fresh_mode, ("ancilla_1", "ancilla_2"))
+    v_x, v_p = quadrature_variances(_channel_noise(spec, f1, f2))
     return 2.0 / math.sqrt((2.0 + v_x) * (2.0 + v_p))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,7 +23,7 @@ from mzteleport import (
     squeezing_to_H,
     sweep_gain,
 )
-from mzteleport.cli import FIGURES, WRITE_BLOCK_LINES, _write_blocks, main
+from mzteleport.cli import FIGURES, main
 from mzteleport.scenarios import MAX_GRID_STEPS
 
 SWEEP_HEADER = "lambda,count_a,count_b,visibility"
@@ -117,19 +118,23 @@ class TestSweepCommand:
         assert err == "mzteleport: error: a photon count overflowed at gain 1e+200\n"
         assert not path.exists()
 
-    def test_output_is_written_in_blocks(self):
-        class Recorder:
-            def __init__(self):
-                self.writes = []
+    def test_output_is_written_in_blocks(self, capsys, monkeypatch):
+        class Recorder(io.StringIO):
+            writes = 0
 
             def write(self, text):
-                self.writes.append(text)
+                self.writes += 1
+                return super().write(text)
 
-        lines = [f"{k}\n" for k in range(2 * WRITE_BLOCK_LINES + 1)]
+        argv = ["sweep", "--steps", "5"]
+        _, expected, _ = run_cli(capsys, argv)
+        monkeypatch.setattr(cli, "WRITE_BLOCK_LINES", 2)
         stream = Recorder()
-        _write_blocks(stream, iter(lines))
-        assert len(stream.writes) == 3
-        assert "".join(stream.writes) == "".join(lines)
+        with redirect_stdout(stream):
+            assert main(argv) == 0
+        # The header, then the rows in blocks of 2, 2 and 1.
+        assert stream.writes == 4
+        assert stream.getvalue() == expected
 
 
 class TestFigureCommand:
@@ -215,6 +220,37 @@ class TestFidelityCommand:
         assert float(fields[3]) == pytest.approx(2.0 / math.sqrt(8.5), rel=1e-11)
 
 
+class TestOutputDigests:
+    """Guard the CLI's bytes: sha256 of stdout, recorded before the change that added it.
+
+    Regenerate a digest with ``hashlib.sha256(stdout.encode()).hexdigest()``
+    of ``cli.main(argv)``'s output. A new digest means new output digits;
+    every intended change of digits must be explained in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["figure", "fig3", "--format", "csv"],
+             "46d5eb8beb4fa5c6925a14a873d86adf2e98af2add27b5f8c2195dbd60c4de3c"),
+            (["figure", "fig4", "--format", "csv"],
+             "2df728a926577334c466f8d77e1b8aea42c3264c8b7853da0bdeec62162e30cd"),
+            (["figure", "fig5", "--format", "csv"],
+             "c3aa3a63c174854f13d904bbdbeaa1fc2d78eb4bb58dbab755cfa5cc40a24ac4"),
+            (["fidelity", "--source", "two-mode", "--squeezing", "0.5"],
+             "226b4cda56b45e3fcb100681b5993ed74f51cc7120581976f0cae334902a8d25"),
+            (["fidelity", "--source", "single", "--squeezing", "0.875"],
+             "3f85805cca803d960f07ad8f1923fec6a71e91a3542418eb3e326c82104395cd"),
+            (["fidelity", "--source", "none"],
+             "b0aed4787358d73e1db28087a436161584ef5b4c565148719550d669ee184622"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestOtherCommands:
     def test_classical_max(self, capsys):
         _, out, _ = run_cli(capsys, ["classical-max"])
@@ -270,6 +306,8 @@ class TestUsageErrors:
             ["lock-curve", "--gain-min", "-0.5"],
             ["classical-max", "--gain-min=-1e-9"],
             ["figure", "fig4", "--gain-min", "-0.5"],
+            # Above the formatter's limit: rejected before any table is evaluated.
+            ["sweep", "--precision", "2147483648"],
         ],
     )
     def test_exit_code_2(self, capsys, argv):

@@ -366,6 +366,9 @@ class TestSweep:
             sweep_gain(config, [0.0, 0.0, 0.1])
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep_gain(config, [1.0, math.nan, 0.5])
+        for grid in (0.5, [[0.0, 0.5], [1.0, 1.5]]):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                sweep_gain(config, grid)
         with pytest.raises(ValueError, match="at least 2"):
             default_gain_grid(0.0, 1.5, 1)
         with pytest.raises(ValueError, match="start < stop"):
@@ -397,6 +400,8 @@ class TestSweep:
         message = re.escape(f"photon count overflowed at gain {gain!r}")
         with pytest.raises(OverflowError, match=message):
             sweep_gain(config, [0.5, gain])
+        with pytest.raises(OverflowError, match=message):
+            evaluate_counts(replace(config, gain=gain))
         # The closed forms name the gain too, whether ``** 2`` overflows
         # or a count comes out inf or nan.
         with pytest.raises(OverflowError, match=message):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzteleport import (
     KIND_CLASSICAL,
@@ -69,6 +71,21 @@ class TestSpec:
         classical = TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)
         with pytest.raises(ValueError, match="composed channel"):
             teleport_composed(c, classical, f1, f2)
+
+    @pytest.mark.parametrize(
+        "teleport, kind, H",
+        [
+            (teleport_two_mode, KIND_TWO_MODE, 2.0),
+            (teleport_two_mode, KIND_CLASSICAL, 1.0),
+            (teleport_single_squeezer, KIND_SINGLE_SQUEEZER, 2.0),
+        ],
+    )
+    def test_foreign_ancillas_rejected(self, teleport, kind, H):
+        # Ancillas of another network must not land on this network's modes.
+        c, _, _ = channel_fixture()
+        _, f1, f2 = channel_fixture()
+        with pytest.raises(ValueError, match="different registries"):
+            teleport(c, TeleporterSpec(kind, 0.5, H), f1, f2)
 
 
 class TestTwoModeChannel:
@@ -219,6 +236,10 @@ class TestOperatingPoints:
     def test_conversion_roundtrip(self, s):
         assert H_to_squeezing(squeezing_to_H(s)) == pytest.approx(s, abs=1e-12)
 
+    @given(st.one_of(st.floats(1.0, 1.7e308), st.sampled_from((4.5e307, 1e308, 1.7e308))))
+    def test_squeezing_of_any_pump_gain_is_a_fraction(self, H):
+        assert 0.0 <= H_to_squeezing(H) <= 1.0
+
 
 class TestCoherentFidelity:
     def test_classical_bound(self):
@@ -233,6 +254,19 @@ class TestCoherentFidelity:
         value = coherent_fidelity(spec)
         assert value == pytest.approx(2.0 / math.sqrt(8.5), abs=1e-12)
         assert value == pytest.approx(0.686, abs=5e-4)
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True))
+    def test_closed_forms(self, s):
+        # The closed forms `bench/checks.py` checks the CLI's fidelity rows
+        # against, at the squeezing the pump gain holds: H - 1 ~ s^2/4
+        # cannot carry an s below ~1e-8 to full precision.
+        H = squeezing_to_H(s)
+        two_mode = coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, 1.0, H))
+        single = coherent_fidelity(TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, H))
+        s = H_to_squeezing(H)
+        assert two_mode == pytest.approx(1.0 / (2.0 - s), abs=1e-12)
+        assert single == pytest.approx(1.0 / math.sqrt(3.0 - s), abs=1e-12)
 
     def test_requires_unity_gain(self):
         with pytest.raises(ValueError, match="unity gain"):
