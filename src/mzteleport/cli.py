@@ -60,8 +60,19 @@ _SEPARATORS = {"csv": ",", "tsv": "\t", "gnuplot": " "}
 WRITE_BLOCK_LINES = 4096
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads any negative number as a value: argparse alone takes ``-1e-9`` for a flag."""
+
+    def _parse_optional(self, arg_string: str):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mzteleport",
         description=(
             "Interference tests for continuous-variable teleporter channels: "

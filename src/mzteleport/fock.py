@@ -54,7 +54,7 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     two on a signal mode, one elsewhere. Every ``cutoff >= 3`` thus
     computes the same cells. Each term's single-mode factor acts on its
     own axis and is added into one image; no operator is materialized at
-    full tensor dimension.
+    full tensor dimension. A non-finite (overflowed) flux raises ``OverflowError``.
     """
     if cutoff < 3:
         raise ValueError(
@@ -92,7 +92,10 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
         shape = (outer, dim, cells // (outer * dim))
         _apply_on_axis(u * lower + v * raiser, psi.reshape(shape), term.reshape(shape))
         image += term
-    return float(np.vdot(image, image).real)
+    flux = float(np.vdot(image, image).real)
+    if not math.isfinite(flux):
+        raise OverflowError(f"photon flux overflowed to {flux!r}")
+    return flux
 
 
 @lru_cache(maxsize=8)

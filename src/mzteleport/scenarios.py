@@ -1,4 +1,4 @@
-"""Interferometer layouts, closed-form count references, and gain sweeps.
+"""Interferometer layouts, their one closed-form count reference, and gain sweeps.
 
 Three layouts share the same skeleton: a polarization qubit enters one
 port of a Mach-Zehnder interferometer, vacuum enters the other, and the
@@ -11,7 +11,8 @@ arms are recombined in phase at a second 50:50 beamsplitter.
   arrangement whose dark port stays empty at the optimal gain.
 
 Every teleporter invocation draws its own fresh ancilla pair, one per arm
-and per polarization.
+and per polarization. :func:`reference_counts` checks that network with one
+closed form, and :func:`optimize_eta` is that form's visibility argmax.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .modes import (
 )
 from .photometry import HORIZONTAL, PortCounts, port_count, visibility
 from .teleporter import (
-    KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     TeleporterSpec,
@@ -122,8 +122,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
     """Construct the configured network on a fresh registry; return its output fields."""
     reg = ModeRegistry()
     signal_h, signal_v = map(reg.fresh_mode, SIGNAL_LABELS)
-    vacuum_h = reg.fresh_mode("b_h")
-    vacuum_v = reg.fresh_mode("b_v")
+    vacuum_h, vacuum_v = map(reg.fresh_mode, ("b_h", "b_v"))
     spec = config._spec
     eta = config.resolved_eta()
     outputs_a: list[LinearField] = []
@@ -157,51 +156,36 @@ def evaluate_counts(config: ScenarioConfig) -> PortCounts:
 
 
 def reference_counts(config: ScenarioConfig) -> PortCounts:
-    """Closed-form count expectations, where the layout/source pair has one.
+    """Closed-form counts of every layout and source, computed without the network.
 
-    These are direct evaluations of the per-layout formulas and serve as
-    an independent check on the network construction; like the network's
-    counts, they do not depend on the input qubit. A count that overflows
-    the float range raises ``OverflowError`` naming the gain.
-
-    Covered: layout ``a`` for all sources; layouts ``b`` and ``c`` for the
-    two-mode and classical sources. The remaining combinations have no
-    closed form here and must be evaluated through the network.
+    Arm ``c`` carries the signal with amplitude ``t_c = gain``, arm ``d``
+    with ``t_d`` = 1 bare, ``sqrt(eta)`` attenuated or ``gain`` teleported,
+    and each teleporter adds ``n`` photons at each port (:func:`_port_noise`):
+    ``count_a, count_b = (t_c +/- t_d)^2 / 4 + n_c + n_d``, for any input
+    qubit. An overflowing count raises ``OverflowError`` naming the gain.
     """
-    try:
-        count_a, count_b = _closed_form_counts(config)
-    except OverflowError:
-        count_a = count_b = math.inf
+    gain = config.gain
+    noise_c = _port_noise(config.source, gain, config.H)
+    arm_d, noise_d = 1.0, 0.0
+    if config.layout == "b":
+        arm_d = math.sqrt(config.resolved_eta())
+    elif config.layout == "c":
+        arm_d, noise_d = gain, noise_c
+    bright, dark, noise = gain + arm_d, gain - arm_d, noise_c + noise_d
+    # Products overflow to inf (or nan) where ``** 2`` would raise.
+    count_a, count_b = 0.25 * bright * bright + noise, 0.25 * dark * dark + noise
     if not (math.isfinite(count_a) and math.isfinite(count_b)):
         raise OverflowError(f"a photon count overflowed at gain {config.gain!r}")
     return PortCounts(count_a, count_b)
 
 
-def _closed_form_counts(config: ScenarioConfig) -> tuple[float, float]:
-    gain = config.gain
-    creation_amp, _ = noise_amplitudes(gain, config.H)
-    spurious = creation_amp * creation_amp
-    if config.layout == "a":
-        noise = _port_noise(config.source, gain, spurious)
-        return 0.25 * (1.0 + gain) ** 2 + noise, 0.25 * (1.0 - gain) ** 2 + noise
-    if config.layout == "b" and config.source in (KIND_TWO_MODE, KIND_CLASSICAL):
-        root_eta = math.sqrt(config.resolved_eta())
-        return 0.25 * (root_eta + gain) ** 2 + spurious, 0.25 * (root_eta - gain) ** 2 + spurious
-    if config.layout == "c" and config.source in (KIND_TWO_MODE, KIND_CLASSICAL):
-        return gain * gain + 2.0 * spurious, 2.0 * spurious
-    raise ValueError(
-        f"no closed form for layout {config.layout!r} with source {config.source!r}; "
-        "evaluate the network instead"
-    )
-
-
 def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     """Attenuator transmission maximizing layout-b visibility at this gain.
 
-    Closed form ``min(1, gain^2 + 4*N)`` where ``N`` is the per-port noise
-    count of the chosen source. At ``gain = optimal_gain(H)`` with the
-    two-mode source this reduces to ``gain^2``, the balanced point of unit
-    visibility.
+    The argmax over ``eta`` of :func:`reference_counts`' visibility,
+    ``min(1, gain^2 + 4*N)`` with ``N`` the per-port noise count of the
+    chosen source. At ``gain = optimal_gain(H)`` with the two-mode source
+    this reduces to ``gain^2``, the balanced point of unit visibility.
     """
     check_channel(source, gain, H)
     return _balanced_eta(gain, H, source)
@@ -209,9 +193,7 @@ def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
 
 def _balanced_eta(gain: float, H: float, source: str) -> float:
     """:func:`optimize_eta`'s closed form, for an operating point already checked."""
-    creation_amp, _ = noise_amplitudes(gain, H)
-    noise = _port_noise(source, gain, creation_amp * creation_amp)
-    return min(1.0, gain * gain + 4.0 * noise)
+    return min(1.0, gain * gain + 4.0 * _port_noise(source, gain, H))
 
 
 class SweepRow(NamedTuple):
@@ -328,8 +310,11 @@ def _teleport_arm(
     return teleport_two_mode(field, spec, f1, f2)
 
 
-def _port_noise(source: str, gain: float, spurious: float) -> float:
-    """Per-port noise count added by the teleporter, by source kind."""
+def _port_noise(source: str, gain: float, H: float) -> float:
+    """Photons a teleporter adds at each output port: ``A^2``, or ``(A^2 + gain^2)/2``
+    for the single-squeezer source, with ``A`` the creation-side noise amplitude."""
+    creation_amp, _ = noise_amplitudes(gain, H)
+    spurious = creation_amp * creation_amp
     if source == KIND_SINGLE_SQUEEZER:
         return 0.5 * (spurious + gain * gain)
     return spurious

@@ -54,16 +54,16 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 def closed_form_cases():
-    """Every (config) pair with a printed closed form, over the full grid."""
+    """Every layout and source, with eta auto and fixed, over the full grid."""
+    sources = [(KIND_CLASSICAL, 1.0), (KIND_SINGLE_SQUEEZER, squeezing_to_H(0.875))]
+    for s in SQUEEZING_GRID:
+        sources += [(KIND_TWO_MODE, squeezing_to_H(s)), (KIND_SINGLE_SQUEEZER, squeezing_to_H(s))]
     for gain in GAIN_GRID:
-        for s in SQUEEZING_GRID:
-            H = squeezing_to_H(s)
-            yield ScenarioConfig("a", KIND_TWO_MODE, gain, H)
-            yield ScenarioConfig("a", KIND_SINGLE_SQUEEZER, gain, H)
-            yield ScenarioConfig("b", KIND_TWO_MODE, gain, H, ETA_AUTO)
-            yield ScenarioConfig("b", KIND_TWO_MODE, gain, H, 0.7)
-            yield ScenarioConfig("c", KIND_TWO_MODE, gain, H)
-        yield ScenarioConfig("a", KIND_SINGLE_SQUEEZER, gain, squeezing_to_H(0.875))
+        for source, H in sources:
+            yield ScenarioConfig("a", source, gain, H)
+            yield ScenarioConfig("b", source, gain, H, ETA_AUTO)
+            yield ScenarioConfig("b", source, gain, H, 0.7)
+            yield ScenarioConfig("c", source, gain, H)
 
 
 def test_criterion_1_closed_form_equivalence():

@@ -308,6 +308,10 @@ class TestUsageErrors:
             ["figure", "fig4", "--gain-min", "-0.5"],
             # Above the formatter's limit: rejected before any table is evaluated.
             ["sweep", "--precision", "2147483648"],
+            # Negative numbers argparse alone would read as flags.
+            ["classical-max", "--gain-min", "-1e-9"],
+            ["sweep", "--gain-min", "-inf"],
+            ["lock-curve", "--gain-min", "-1E+3", "--gain-max", "-1e-3"],
         ],
     )
     def test_exit_code_2(self, capsys, argv):
@@ -317,6 +321,8 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage:" in captured.err
+        # Every value reaches the library's checks; none is taken for a flag.
+        assert "expected one argument" not in captured.err
 
     # None omits the flag; the rest mixes plausible values with any float.
     _values = st.one_of(

@@ -253,6 +253,22 @@ class TestOracleFlux:
         uniform = uniform_oracle_flux(field, state, cutoff)
         assert abs(oracle_flux(field, state, 3) - uniform) <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # An overflowed coefficient meets a zero amplitude: nan.
+            ScenarioConfig("a", KIND_TWO_MODE, 1e308, 4.0),
+            # Finite coefficients whose squares overflow: inf.
+            ScenarioConfig("c", KIND_CLASSICAL, 1e200, 1.0),
+        ],
+    )
+    def test_overflow_raises(self, config):
+        # As port_count does, and without a numpy warning (the suite
+        # turns those into errors).
+        for field in build_scenario(config).all_fields:
+            with pytest.raises(OverflowError, match="overflowed"):
+                oracle_flux(field, QubitInput(0.6, 0.8))
+
     def test_sixteen_modes_fit(self, rng):
         # 14 vacuum modes beside both signal modes: 3**2 * 2**14 = 147456
         # cells, where a uniform cutoff of 3 would need 4**16.

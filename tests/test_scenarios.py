@@ -1,4 +1,4 @@
-"""Network layouts against closed forms, attenuation balancing, and sweeps."""
+"""Network layouts against the closed form, attenuation balancing, and sweeps."""
 
 from __future__ import annotations
 
@@ -110,34 +110,38 @@ class TestConfigValidation:
 
 
 class TestNetworkAgainstClosedForms:
+    @staticmethod
+    def _assert_network_matches_reference(config):
+        network = evaluate_counts(config)
+        reference = reference_counts(config)
+        assert abs(network.count_a - reference.count_a) <= 1e-9
+        assert abs(network.count_b - reference.count_b) <= 1e-9
+
     @pytest.mark.parametrize("gain", GAIN_GRID)
     @pytest.mark.parametrize("s", SQUEEZING_GRID)
     @pytest.mark.parametrize("layout", ["a", "c"])
     def test_two_mode_layouts(self, gain, s, layout):
         config = ScenarioConfig(layout, KIND_TWO_MODE, gain, squeezing_to_H(s))
-        network = evaluate_counts(config)
-        reference = reference_counts(config)
-        assert network.count_a == pytest.approx(reference.count_a, abs=1e-9)
-        assert network.count_b == pytest.approx(reference.count_b, abs=1e-9)
+        self._assert_network_matches_reference(config)
 
     @pytest.mark.parametrize("gain", GAIN_GRID)
     @pytest.mark.parametrize("s", SQUEEZING_GRID)
     @pytest.mark.parametrize("eta", [ETA_AUTO, 0.3, 1.0])
     def test_balanced_layout(self, gain, s, eta):
         config = ScenarioConfig("b", KIND_TWO_MODE, gain, squeezing_to_H(s), eta)
-        network = evaluate_counts(config)
-        reference = reference_counts(config)
-        assert network.count_a == pytest.approx(reference.count_a, abs=1e-9)
-        assert network.count_b == pytest.approx(reference.count_b, abs=1e-9)
+        self._assert_network_matches_reference(config)
 
     @pytest.mark.parametrize("gain", GAIN_GRID)
     @pytest.mark.parametrize("s", [0.5, 0.875])
     def test_single_squeezer_layout_a(self, gain, s):
         config = ScenarioConfig("a", KIND_SINGLE_SQUEEZER, gain, squeezing_to_H(s))
-        network = evaluate_counts(config)
-        reference = reference_counts(config)
-        assert network.count_a == pytest.approx(reference.count_a, abs=1e-9)
-        assert network.count_b == pytest.approx(reference.count_b, abs=1e-9)
+        self._assert_network_matches_reference(config)
+
+    # One closed form covers every layout and source.
+    @settings(max_examples=300, deadline=None)
+    @given(config=scenario_configs())
+    def test_every_configuration(self, config):
+        self._assert_network_matches_reference(config)
 
     def test_reference_anchors(self):
         counts = reference_counts(ScenarioConfig("a", KIND_CLASSICAL, 1.0, 1.0))
@@ -147,14 +151,6 @@ class TestNetworkAgainstClosedForms:
         counts = reference_counts(ScenarioConfig("b", KIND_TWO_MODE, 1 / 3, 1.125, 1 / 9))
         assert counts.count_a == pytest.approx(1 / 9, abs=1e-12)
         assert counts.count_b == pytest.approx(0.0, abs=1e-12)
-
-    def test_no_closed_form_combinations_raise(self):
-        config = ScenarioConfig("b", KIND_SINGLE_SQUEEZER, 0.5, 2.0, 0.5)
-        with pytest.raises(ValueError, match="no closed form"):
-            reference_counts(config)
-        config = ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 0.5, 2.0)
-        with pytest.raises(ValueError, match="no closed form"):
-            reference_counts(config)
 
 
 class TestNetworkStructure:
@@ -394,6 +390,8 @@ class TestSweep:
             (ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1e100), 1e300),
             (ScenarioConfig("b", KIND_TWO_MODE, 0.0, 1.125, ETA_AUTO), 1e200),
             (ScenarioConfig("c", KIND_TWO_MODE, 0.0, 1.125), 1e200),
+            (ScenarioConfig("b", KIND_SINGLE_SQUEEZER, 0.0, 2.0, 0.5), 1e200),
+            (ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 0.0, 2.0), 1e200),
         ],
     )
     def test_overflow_names_the_gain(self, config, gain):
@@ -402,8 +400,8 @@ class TestSweep:
             sweep_gain(config, [0.5, gain])
         with pytest.raises(OverflowError, match=message):
             evaluate_counts(replace(config, gain=gain))
-        # The closed forms name the gain too, whether ``** 2`` overflows
-        # or a count comes out inf or nan.
+        # The closed form names the gain too, whether a count comes out
+        # inf or nan.
         with pytest.raises(OverflowError, match=message):
             reference_counts(replace(config, gain=gain))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import re
+import shlex
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -80,6 +81,18 @@ class TestReadme:
         dark, fringe = map(float, out.getvalue().split())
         assert 0.0 <= dark < 1e-30
         assert fringe == 1.0
+
+    def test_command_lines_run(self, tmp_path, monkeypatch, capsys):
+        # Every mzteleport line of the README's sh blocks: a renamed flag or
+        # preset fails here instead of leaving the docs stale.
+        blocks = re.findall(r"```sh\n(.*?)```", README_PATH.read_text(), re.DOTALL)
+        lines = [line for block in blocks for line in block.splitlines()]
+        commands = [line for line in lines if line.startswith("mzteleport ")]
+        assert len(commands) >= 3
+        monkeypatch.chdir(tmp_path)
+        for line in commands:
+            assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+            capsys.readouterr()
 
 
 class TestBenchmarkHooks:
