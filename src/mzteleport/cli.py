@@ -112,13 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(lock)
     lock.set_defaults(scenario="c", eta=None)
 
+    for command in commands.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    evaluate = _resolve(parser, args)
+    evaluate = _resolve(args.command_parser, args)
     try:
         blocks = evaluate()
         if args.out is None:
@@ -186,8 +188,9 @@ def _resolve(
     Every configuration is built at the first gain of its grid. The
     library checks every physical range, so the command line accepts
     exactly what the library accepts; a value it rejects is a usage error,
-    as is a precision the formatter rejects. The evaluation completes every
-    table before it returns the text, so an evaluation failure writes nothing.
+    as is a precision the formatter rejects, reported through ``parser``,
+    the command's own. The evaluation completes every table before it
+    returns the text, so an evaluation failure writes nothing.
     """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")

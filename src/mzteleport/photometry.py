@@ -64,7 +64,7 @@ def photon_flux(field: LinearField, state: QubitInput) -> float:
     signal-creation cross term.
     """
     sig_h, sig_v = field.registry.signal_pair()
-    amplitudes = {sig_h.index: complex(state.x), sig_v.index: complex(state.y)}
+    amplitudes = {sig_h.index: state.x, sig_v.index: state.y}
     absorbed = 0j
     stimulated = 0j
     spontaneous = 0.0

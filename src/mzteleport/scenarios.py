@@ -30,7 +30,6 @@ from .modes import (
     annihilator_field,
     attenuate,
     beamsplitter,
-    check_transmission,
 )
 from .photometry import HORIZONTAL, PortCounts, port_count, visibility
 from .teleporter import (
@@ -73,8 +72,8 @@ class ScenarioConfig:
     ``eta`` is the attenuator transmission and exists only for layout
     ``b``; pass :data:`ETA_AUTO` to let each evaluation pick the
     visibility-maximizing value for its gain. Construction builds the
-    configuration's :class:`TeleporterSpec`, which checks the channel once;
-    :func:`build_scenario` runs that same spec.
+    configuration's :class:`TeleporterSpec`, which checks the channel, and
+    checks ``eta``, once: the elements :func:`build_scenario` runs check none.
     """
 
     layout: str
@@ -92,8 +91,8 @@ class ScenarioConfig:
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
-            if self.eta != ETA_AUTO:
-                check_transmission(float(self.eta))
+            if self.eta != ETA_AUTO and not 0.0 <= self.eta <= 1.0:
+                raise ValueError(f"transmission must lie in [0, 1], got {self.eta!r}")
         elif self.eta is not None:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 
@@ -103,7 +102,7 @@ class ScenarioConfig:
             return None
         if self.eta == ETA_AUTO:
             return _balanced_eta(self.gain, self.H, self.source)
-        return float(self.eta)
+        return self.eta
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,10 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     elif config.layout == "c":
         arm_d, noise_d = gain, noise_c
     bright, dark, noise = gain + arm_d, gain - arm_d, noise_c + noise_d
-    # Products overflow to inf (or nan) where ``** 2`` would raise.
-    count_a, count_b = 0.25 * bright * bright + noise, 0.25 * dark * dark + noise
+    # Products overflow to inf (or nan) where ``** 2`` would raise. Halved factors
+    # keep 0.25*x*x's overflow threshold, and exact arithmetic sees the square >= 0.
+    count_a = (0.5 * bright) * (0.5 * bright) + noise
+    count_b = (0.5 * dark) * (0.5 * dark) + noise
     if not (math.isfinite(count_a) and math.isfinite(count_b)):
         raise OverflowError(f"a photon count overflowed at gain {config.gain!r}")
     return PortCounts(count_a, count_b)

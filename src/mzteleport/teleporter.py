@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .modes import (
-    _INV_SQRT2,
     LinearField,
     ModeId,
     ModeRegistry,
     beamsplitter,
-    check_pump_gain,
     combine,
     dagger,
     field_from_terms,
@@ -32,6 +30,7 @@ __all__ = [
     "KIND_CLASSICAL",
     "KINDS",
     "TeleporterSpec",
+    "check_pump_gain",
     "check_channel",
     "noise_amplitudes",
     "teleport_two_mode",
@@ -47,6 +46,12 @@ KIND_TWO_MODE = "two-mode"
 KIND_SINGLE_SQUEEZER = "single-squeezer"
 KIND_CLASSICAL = "classical"
 KINDS = (KIND_TWO_MODE, KIND_SINGLE_SQUEEZER, KIND_CLASSICAL)
+
+
+def check_pump_gain(H: float) -> None:
+    """Reject a squeezer pump gain that is not a finite number ``>= 1``."""
+    if not 1.0 <= H < math.inf:
+        raise ValueError(f"pump gain must be finite and >= 1, got {H!r}")
 
 
 def check_channel(kind: str, gain: float, H: float) -> None:
@@ -126,9 +131,10 @@ def _channel_noise(spec: TeleporterSpec, f1: ModeId, f2: ModeId) -> LinearField:
     """The noise field the channel adds to ``gain*c``, on the ancillas' registry."""
     creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     if spec.kind == KIND_SINGLE_SQUEEZER:
+        half_root2 = math.sqrt(2) / 2
         terms = {
-            f1: (passthrough_amp * _INV_SQRT2, creation_amp * _INV_SQRT2),
-            f2: (_INV_SQRT2, spec.gain * _INV_SQRT2),
+            f1: (passthrough_amp * half_root2, creation_amp * half_root2),
+            f2: (half_root2, spec.gain * half_root2),
         }
     else:
         terms = {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)}

@@ -17,6 +17,7 @@ from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
+    H_to_squeezing,
     ScenarioConfig,
     cli,
     default_gain_grid,
@@ -219,6 +220,14 @@ class TestFidelityCommand:
         assert fields[0] == "single-squeezer"
         assert float(fields[3]) == pytest.approx(2.0 / math.sqrt(8.5), rel=1e-11)
 
+    def test_prints_the_squeezing_the_pump_gain_holds(self, capsys):
+        # squeezing_to_H cannot carry s = 1e-5 to 17 digits; the line reports H_to_squeezing(H).
+        _, out, _ = run_cli(capsys, ["fidelity", "--squeezing", "1e-5", "--precision", "17"])
+        fields = out.splitlines()[1].split(",")
+        H = squeezing_to_H(1e-5)
+        assert fields[1:3] == [format(H_to_squeezing(H), ".17g"), format(H, ".17g")]
+        assert fields[1] == "9.9999948219853252e-06"
+
 
 class TestOutputDigests:
     """Guard the CLI's bytes: sha256 of stdout, recorded before the change that added it.
@@ -323,6 +332,21 @@ class TestUsageErrors:
         assert "usage:" in captured.err
         # Every value reaches the library's checks; none is taken for a flag.
         assert "expected one argument" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--H", "0.5"],
+            ["sweep", "--precision", "0"],
+            ["fidelity", "--H", "nan"],
+            ["classical-max", "--gain-min", "-1e-9"],
+        ],
+    )
+    def test_library_rejection_prints_the_command_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: mzteleport {argv[0]} ")
 
     # None omits the flag; the rest mixes plausible values with any float.
     _values = st.one_of(

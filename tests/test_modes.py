@@ -219,14 +219,6 @@ class TestSqueezers:
         assert commutator(e2, e2) == pytest.approx(1.0, abs=1e-12)
         assert commutator(e1, e2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_two_mode_rejects_bad_inputs(self):
-        reg = fresh_registry()
-        f1 = reg.fresh_mode("f1")
-        f2 = reg.fresh_mode("f2")
-        for H in (0.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match=">= 1"):
-                two_mode_squeezer(f1, f2, H)
-
 
 class TestAttenuator:
     def test_lossless_is_identity(self):
@@ -250,17 +242,6 @@ class TestAttenuator:
         assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
         attenuated = attenuate(field, eta, g)
         assert commutator(attenuated, attenuated) == pytest.approx(1.0, abs=1e-12)
-
-    def test_range_errors(self):
-        reg = fresh_registry()
-        d = annihilator_field(reg.fresh_mode("d"))
-        g = reg.fresh_mode("g")
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            attenuate(d, 1.2, g)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            attenuate(d, -0.1, g)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            attenuate(d, math.nan, g)
 
 
 class TestQuadratureVariances:

@@ -68,6 +68,12 @@ class TestConfigValidation:
             ScenarioConfig("b", KIND_TWO_MODE, 1.0, 1.125, 1.5)
         ScenarioConfig("b", KIND_TWO_MODE, 1.0, 1.125, ETA_AUTO)
 
+    def test_rejects_transmission_out_of_range(self):
+        # The attenuator's transmission is checked here, once; the attenuator checks nothing.
+        for eta in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                ScenarioConfig("b", KIND_TWO_MODE, 1.0, 1.125, eta)
+
     def test_rejects_nan_gain_and_pump(self):
         with pytest.raises(ValueError, match=">= 0"):
             ScenarioConfig("a", KIND_TWO_MODE, math.nan, 1.125)

@@ -60,6 +60,13 @@ class TestSpec:
         with pytest.raises(ValueError, match=">= 1"):
             TeleporterSpec(KIND_TWO_MODE, 1.0, math.inf)
 
+    def test_rejects_bad_pump_gain(self):
+        # The squeezer's pump gain is checked here, once; the squeezer itself checks nothing.
+        for kind in (KIND_TWO_MODE, KIND_SINGLE_SQUEEZER):
+            for H in (0.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match=">= 1"):
+                    TeleporterSpec(kind, 1.0, H)
+
     def test_kind_routing_enforced(self):
         c, f1, f2 = channel_fixture()
         single = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, 2.0)
