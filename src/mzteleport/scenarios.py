@@ -36,7 +36,6 @@ from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     TeleporterSpec,
-    check_channel,
     noise_amplitudes,
     teleport_single_squeezer,
     teleport_two_mode,
@@ -97,11 +96,15 @@ class ScenarioConfig:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 
     def resolved_eta(self) -> float | None:
-        """The numeric attenuator transmission, or None outside layout b."""
+        """The numeric attenuator transmission, or None outside layout b.
+
+        ``eta = "auto"`` resolves to :func:`optimize_eta`'s visibility argmax.
+        """
         if self.layout != "b":
             return None
         if self.eta == ETA_AUTO:
-            return _balanced_eta(self.gain, self.H, self.source)
+            noise = _port_noise(self.source, self.gain, self.H)
+            return min(1.0, self.gain * self.gain + 4.0 * noise)
         return self.eta
 
 
@@ -188,13 +191,7 @@ def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     chosen source. At ``gain = optimal_gain(H)`` with the two-mode source
     this reduces to ``gain^2``, the balanced point of unit visibility.
     """
-    check_channel(source, gain, H)
-    return _balanced_eta(gain, H, source)
-
-
-def _balanced_eta(gain: float, H: float, source: str) -> float:
-    """:func:`optimize_eta`'s closed form, for an operating point already checked."""
-    return min(1.0, gain * gain + 4.0 * _port_noise(source, gain, H))
+    return ScenarioConfig("b", source, gain, H, ETA_AUTO).resolved_eta()
 
 
 class SweepRow(NamedTuple):

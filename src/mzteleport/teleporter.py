@@ -163,7 +163,7 @@ def teleport_composed(
     x_meas = combine(1.0, mix_diff, 1.0, dagger(mix_diff))
     p_meas = combine(-1j, mix_sum, 1j, dagger(mix_sum))
     measured = combine(0.5, x_meas, 0.5j, p_meas)
-    return combine(1.0, e2, spec.gain * math.sqrt(2.0), measured)
+    return combine(1.0, e2, spec.gain * math.sqrt(2), measured)
 
 
 def optimal_gain(H: float) -> float:

@@ -1,9 +1,10 @@
 """Reference routes that the tests hold :mod:`mzteleport.fock` to.
 
-``operator_matrix`` realizes a field as a dense matrix. ``uniform_oracle_flux``
-is the uniform-cutoff oracle: every mode holds ``|0..cutoff>``, so raising
-the cutoff really enlarges the space, and agreement across cutoffs shows
-that the truncation is exact.
+``ladder_matrix`` is the annihilation operator as a matrix, and
+``operator_matrix`` realizes a field as a dense matrix from it.
+``uniform_oracle_flux`` is the uniform-cutoff oracle: every mode holds
+``|0..cutoff>``, so raising the cutoff really enlarges the space, and
+agreement across cutoffs shows that the truncation is exact.
 """
 
 from __future__ import annotations
@@ -12,13 +13,18 @@ from functools import reduce
 
 import numpy as np
 
-from mzteleport.fock import ladder_matrix
-
 # Dense operator matrices are quadratic in the tensor dimension; cap them
 # at cutoff 3 x six modes.
 DENSE_DIM_LIMIT = 4096
 # A uniform state vector at cutoff 5 on eight modes has 6**8 = 1.7 M cells.
 VECTOR_CELL_LIMIT = 2_000_000
+
+
+def ladder_matrix(cutoff: int) -> np.ndarray:
+    """Annihilation matrix on span{|0>, ..., |cutoff>}: entries a[n-1, n] = sqrt(n)."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff!r}")
+    return np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1).astype(complex)
 
 
 def operator_matrix(field, cutoff: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_canonical_field, random_qubit
-from fock_reference import operator_matrix, uniform_oracle_flux
+from fock_reference import ladder_matrix, operator_matrix, uniform_oracle_flux
 from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
@@ -22,7 +22,6 @@ from mzteleport import (
     photon_flux,
     squeezing_to_H,
 )
-from mzteleport.fock import ladder_matrix
 from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
@@ -270,8 +269,8 @@ class TestOracleFlux:
                 oracle_flux(field, QubitInput(0.6, 0.8))
 
     def test_sixteen_modes_fit(self, rng):
-        # 14 vacuum modes beside both signal modes: 3**2 * 2**14 = 147456
-        # cells, where a uniform cutoff of 3 would need 4**16.
+        # 14 vacuum modes beside both signal modes, where a uniform cutoff
+        # of 3 would need 4**16 cells.
         reg = ModeRegistry()
         modes = [reg.fresh_mode("a_h"), reg.fresh_mode("a_v")]
         modes += [reg.fresh_mode(f"m{i}") for i in range(14)]
@@ -287,12 +286,14 @@ class TestOracleFlux:
         with pytest.raises(ValueError, match=">= 3"):
             oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0), cutoff=2)
 
-    def test_resource_guard(self):
-        # Both signal modes and 19 vacuum modes: 3**2 * 2**19 cells at any cutoff.
+    def test_twenty_one_modes_fit(self, rng):
+        # Both signal modes and 19 vacuum modes: the image holds a few basis
+        # states per term, where a state vector would need 3**2 * 2**19 cells.
         reg = ModeRegistry()
-        reg.fresh_mode("a_h")
-        reg.fresh_mode("a_v")
-        modes = [reg.fresh_mode(f"m{i}") for i in range(19)]
-        wide = field_from_terms(reg, {m: (1.0, 0.0) for m in modes})
-        with pytest.raises(ValueError, match="state vector"):
-            oracle_flux(wide, QubitInput(1.0, 0.0), cutoff=4)
+        modes = [reg.fresh_mode("a_h"), reg.fresh_mode("a_v")]
+        modes += [reg.fresh_mode(f"m{i}") for i in range(19)]
+        field = random_canonical_field(reg, modes, rng)
+        state = random_qubit(rng)
+        scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
+        exact = oracle_flux(field, state, cutoff=4)
+        assert abs(exact - photon_flux(field, state)) <= 1e-10 * scale

@@ -8,8 +8,12 @@ transmission ``eta = t^2 / (1 + t^2)`` and the qubit
 identity to exactly zero on one layout/source pair: the network's counts
 equal the closed form for every qubit, which is the paper's claim that the
 counts do not depend on the input state, and the outputs are canonical and
-commute. The float properties in the other files test what a proof does
-not: rounding and overflow.
+commute. Three more reduce the closed forms the package prints or optimizes
+with: the balanced transmission is the stationary point of layout-b
+visibility, the two-mode and classical fidelity is ``1/(2 - s)``, and the
+teleporter built from its parts is the direct map up to one ancilla phase.
+The float properties in the other files test what a proof does not:
+rounding and overflow.
 """
 
 from __future__ import annotations
@@ -19,10 +23,22 @@ import types
 import pytest
 import sympy as sp
 
-from mzteleport import build_scenario, modes, photon_flux, reference_counts, scenarios, teleporter
-from mzteleport.modes import commutator
-from mzteleport.scenarios import LAYOUTS, ScenarioConfig
-from mzteleport.teleporter import KIND_CLASSICAL, KINDS
+from mzteleport import (
+    H_to_squeezing,
+    TeleporterSpec,
+    build_scenario,
+    coherent_fidelity,
+    modes,
+    photon_flux,
+    reference_counts,
+    scenarios,
+    teleport_composed,
+    teleporter,
+    visibility,
+)
+from mzteleport.modes import ModeRegistry, annihilator_field, commutator
+from mzteleport.scenarios import LAYOUTS, ScenarioConfig, _port_noise
+from mzteleport.teleporter import KIND_CLASSICAL, KIND_TWO_MODE, KINDS, teleport_two_mode
 
 GAIN, K = sp.symbols("g K", nonnegative=True)
 # Positive t puts eta strictly inside (0, 1), where sympy can place it.
@@ -43,10 +59,13 @@ def exact_math(monkeypatch):
         monkeypatch.setattr(module, "math", exact)
 
 
+def pump_gain(kind: str) -> sp.Expr:
+    return 1 if kind == KIND_CLASSICAL else 1 + K
+
+
 def symbolic_config(layout: str, kind: str) -> ScenarioConfig:
-    H = 1 if kind == KIND_CLASSICAL else 1 + K
     eta = T**2 / (1 + T**2) if layout == "b" else None
-    return ScenarioConfig(layout, kind, GAIN, H, eta)
+    return ScenarioConfig(layout, kind, GAIN, pump_gain(kind), eta)
 
 
 def reduce(expr) -> sp.Expr:
@@ -78,3 +97,39 @@ def test_outputs_canonical_and_commuting(layout, kind):
     for i, field_a in enumerate(fields):
         for j, field_b in enumerate(fields):
             assert sp.expand(commutator(field_a, field_b) - int(i == j)).is_zero
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_balanced_eta_is_stationary_point_of_visibility(kind):
+    # eta = 1 / (1 + t) runs over (0, 1) as t > 0, monotonically, so the
+    # visibility is stationary in eta where its slope in t vanishes.
+    H = pump_gain(kind)
+    fringe = visibility(reference_counts(ScenarioConfig("b", kind, GAIN, H, 1 / (1 + T))))
+    assert fringe.has(T)
+    balanced = GAIN**2 + 4 * _port_noise(kind, GAIN, H)
+    slope = sp.diff(fringe, T).subs(T, 1 / balanced - 1)
+    assert sp.cancel(sp.together(slope)) == 0
+
+
+@pytest.mark.parametrize("kind", [KIND_TWO_MODE, KIND_CLASSICAL])
+def test_fidelity_closed_form(kind):
+    H = pump_gain(kind)
+    fidelity = coherent_fidelity(TeleporterSpec(kind, 1, H))
+    assert sp.cancel(sp.together(fidelity - 1 / (2 - H_to_squeezing(H)))) == 0
+
+
+def test_composed_teleporter_is_direct_map_up_to_ancilla_phase():
+    # Homodyne detection and feed-forward give the direct two-mode map,
+    # except that f1's creation coefficient changes sign: the relabelling
+    # f1 -> -f1 of a private ancilla, which no count sees.
+    registry = ModeRegistry()
+    signal, _ = map(registry.fresh_mode, ("a_h", "a_v"))
+    f1, f2 = map(registry.fresh_mode, ("f1", "f2"))
+    spec = TeleporterSpec(KIND_TWO_MODE, GAIN, 1 + K)
+    composed = teleport_composed(annihilator_field(signal), spec, f1, f2).terms
+    direct = teleport_two_mode(annihilator_field(signal), spec, f1, f2).terms
+    assert composed.keys() == direct.keys()
+    for index, (u, v) in direct.items():
+        sign = -1 if index == f1.index else 1
+        assert sp.expand(composed[index][0] - u) == 0
+        assert sp.expand(composed[index][1] - sign * v) == 0
