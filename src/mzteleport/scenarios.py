@@ -98,7 +98,9 @@ class ScenarioConfig:
     def resolved_eta(self) -> float | None:
         """The numeric attenuator transmission, or None outside layout b.
 
-        ``eta = "auto"`` resolves to :func:`optimize_eta`'s visibility argmax.
+        ``eta = "auto"`` resolves to ``min(1, gain^2 + 4*N)``, with ``N`` the
+        per-port noise count of the source (:func:`_port_noise`): the argmax
+        over ``eta`` of layout-b visibility.
         """
         if self.layout != "b":
             return None
@@ -186,10 +188,11 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
 def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     """Attenuator transmission maximizing layout-b visibility at this gain.
 
-    The argmax over ``eta`` of :func:`reference_counts`' visibility,
-    ``min(1, gain^2 + 4*N)`` with ``N`` the per-port noise count of the
-    chosen source. At ``gain = optimal_gain(H)`` with the two-mode source
-    this reduces to ``gain^2``, the balanced point of unit visibility.
+    What ``eta = "auto"`` resolves to (:meth:`ScenarioConfig.resolved_eta`):
+    ``min(1, gain^2 + 4*N)``, the argmax over ``eta`` of
+    :func:`reference_counts`' visibility. At ``gain = optimal_gain(H)`` with
+    the two-mode source this reduces to ``gain^2``, the balanced point of unit
+    visibility.
     """
     return ScenarioConfig("b", source, gain, H, ETA_AUTO).resolved_eta()
 

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from conftest import random_canonical_field, random_qubit
 from mzteleport import (
-    ETA_AUTO,
     KIND_CLASSICAL,
-    KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     PortCounts,
     QubitInput,
@@ -62,17 +59,6 @@ class TestPhotonFlux:
         with pytest.raises(ValueError, match="signal"):
             photon_flux(annihilator_field(f), QubitInput(1.0, 0.0))
 
-    @pytest.mark.parametrize("gain", [0.0, 0.5, 1.0, 1.5])
-    @pytest.mark.parametrize("s", [0.0, 0.5, 0.9])
-    def test_port_a_flux_matches_closed_form(self, gain, s):
-        H = squeezing_to_H(s)
-        outputs = build_scenario(ScenarioConfig("a", KIND_TWO_MODE, gain, H))
-        state = QubitInput(0.6, 0.8)
-        total = sum(photon_flux(field, state) for field in outputs.port_a)
-        creation_amp = gain * math.sqrt(H) - math.sqrt(H - 1.0)
-        expected = 0.25 * (1.0 + gain) ** 2 + creation_amp**2
-        assert total == pytest.approx(expected, abs=1e-12)
-
     def test_nonnegative_on_random_fields(self, rng, signal_registry):
         modes = list(signal_registry)
         for _ in range(30):
@@ -107,27 +93,6 @@ class TestPortCount:
             PortCounts(math.inf, 1.0)
         with pytest.raises(ValueError, match="finite"):
             PortCounts(1.0, math.inf)
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ScenarioConfig("a", KIND_TWO_MODE, 0.7, squeezing_to_H(0.5)),
-            ScenarioConfig("a", KIND_SINGLE_SQUEEZER, 0.7, squeezing_to_H(0.875)),
-            ScenarioConfig("b", KIND_TWO_MODE, 0.7, squeezing_to_H(0.5), ETA_AUTO),
-            ScenarioConfig("c", KIND_TWO_MODE, 0.7, squeezing_to_H(0.5)),
-        ],
-    )
-    def test_input_state_independence(self, config, rng):
-        outputs = build_scenario(config)
-        reference = port_count(outputs.port_a, outputs.port_b, QubitInput(1.0, 0.0))
-        visibilities = []
-        for _ in range(100):
-            counts = port_count(outputs.port_a, outputs.port_b, random_qubit(rng))
-            assert counts.count_a == pytest.approx(reference.count_a, abs=1e-12)
-            assert counts.count_b == pytest.approx(reference.count_b, abs=1e-12)
-            visibilities.append(visibility(counts))
-        assert np.std(visibilities) <= 1e-12
-
 
 class TestVisibility:
     def test_extremes(self):

@@ -12,6 +12,9 @@ commute. Three more reduce the closed forms the package prints or optimizes
 with: the balanced transmission is the stationary point of layout-b
 visibility, the two-mode and classical fidelity is ``1/(2 - s)``, and the
 teleporter built from its parts is the direct map up to one ancilla phase.
+The last three prove the paper's operating points for every pump gain: the
+dark ports of layouts c and b at the optimal gain, and the classical
+visibility of 1/5 in layout c at every gain.
 The float properties in the other files test what a proof does not:
 rounding and overflow.
 """
@@ -29,6 +32,7 @@ from mzteleport import (
     build_scenario,
     coherent_fidelity,
     modes,
+    optimal_gain,
     photon_flux,
     reference_counts,
     scenarios,
@@ -133,3 +137,32 @@ def test_composed_teleporter_is_direct_map_up_to_ancilla_phase():
         sign = -1 if index == f1.index else 1
         assert sp.expand(composed[index][0] - u) == 0
         assert sp.expand(composed[index][1] - sign * v) == 0
+
+
+def network_counts(config: ScenarioConfig) -> tuple[sp.Expr, sp.Expr]:
+    """The counts at ports a and b for the symbolic qubit."""
+    outputs = build_scenario(config)
+    return tuple(
+        sum(photon_flux(field, QUBIT) for field in port)
+        for port in (outputs.port_a, outputs.port_b)
+    )
+
+
+def test_dual_teleporter_dark_port_at_optimal_gain():
+    H = 1 + K
+    _, dark = network_counts(ScenarioConfig("c", KIND_TWO_MODE, optimal_gain(H), H))
+    assert reduce(dark) == 0
+
+
+def test_balanced_attenuator_dark_port_at_optimal_gain():
+    # eta = g^2 is what eta = "auto" resolves to at the optimal gain.
+    H = 1 + K
+    gain = optimal_gain(H)
+    _, dark = network_counts(ScenarioConfig("b", KIND_TWO_MODE, gain, H, gain**2))
+    assert reduce(dark) == 0
+
+
+def test_dual_teleporter_classical_visibility_is_one_fifth():
+    # 5 (a - b) = a + b is V = 1/5 wherever a + b > 0, i.e. for every g > 0.
+    bright, dark = network_counts(ScenarioConfig("c", KIND_CLASSICAL, GAIN, 1))
+    assert reduce(5 * (bright - dark) - (bright + dark)) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from array import array
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzteleport import (
@@ -36,8 +37,7 @@ from mzteleport.modes import commutator
 from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS, SweepRow
 from mzteleport.teleporter import KINDS, check_channel
 
-GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
-SQUEEZING_GRID = [0.0, 0.5, 0.9]
+VERTICAL = QubitInput(0.0, 1.0)
 
 
 @st.composite
@@ -50,6 +50,14 @@ def scenario_configs(draw):
     H = 1.0 if source == KIND_CLASSICAL else squeezing_to_H(squeezing)
     eta = draw(st.one_of(st.just(ETA_AUTO), st.floats(0.0, 1.0))) if layout == "b" else None
     return ScenarioConfig(layout, source, gain, H, eta)
+
+
+@st.composite
+def qubits(draw):
+    """Any input qubit, up to a global phase: ``(cos theta, e^{i phi} sin theta)``."""
+    theta = draw(st.floats(0.0, math.pi / 2))
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    return QubitInput(math.cos(theta), cmath.rect(math.sin(theta), phi))
 
 
 class TestConfigValidation:
@@ -115,38 +123,23 @@ class TestConfigValidation:
 
 
 class TestNetworkAgainstClosedForms:
-    @staticmethod
-    def _assert_network_matches_reference(config):
-        network = evaluate_counts(config)
-        reference = reference_counts(config)
-        assert abs(network.count_a - reference.count_a) <= 1e-9
-        assert abs(network.count_b - reference.count_b) <= 1e-9
-
-    @pytest.mark.parametrize("gain", GAIN_GRID)
-    @pytest.mark.parametrize("s", SQUEEZING_GRID)
-    @pytest.mark.parametrize("layout", ["a", "c"])
-    def test_two_mode_layouts(self, gain, s, layout):
-        config = ScenarioConfig(layout, KIND_TWO_MODE, gain, squeezing_to_H(s))
-        self._assert_network_matches_reference(config)
-
-    @pytest.mark.parametrize("gain", GAIN_GRID)
-    @pytest.mark.parametrize("s", SQUEEZING_GRID)
-    @pytest.mark.parametrize("eta", [ETA_AUTO, 0.3, 1.0])
-    def test_balanced_layout(self, gain, s, eta):
-        config = ScenarioConfig("b", KIND_TWO_MODE, gain, squeezing_to_H(s), eta)
-        self._assert_network_matches_reference(config)
-
-    @pytest.mark.parametrize("gain", GAIN_GRID)
-    @pytest.mark.parametrize("s", [0.5, 0.875])
-    def test_single_squeezer_layout_a(self, gain, s):
-        config = ScenarioConfig("a", KIND_SINGLE_SQUEEZER, gain, squeezing_to_H(s))
-        self._assert_network_matches_reference(config)
-
-    # One closed form covers every layout and source.
+    # One closed form covers every layout and source, for any input qubit.
+    # The examples pin grid corners that a random draw is not sure to hit.
     @settings(max_examples=300, deadline=None)
-    @given(config=scenario_configs())
-    def test_every_configuration(self, config):
-        self._assert_network_matches_reference(config)
+    @given(config=scenario_configs(), qubit=qubits())
+    @example(ScenarioConfig("b", KIND_TWO_MODE, 1.5, squeezing_to_H(0.9), 1.0), VERTICAL)
+    @example(ScenarioConfig("b", KIND_TWO_MODE, 0.25, squeezing_to_H(0.5), 0.3), VERTICAL)
+    @example(ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 1.5, squeezing_to_H(0.9)), VERTICAL)
+    @example(ScenarioConfig("a", KIND_TWO_MODE, 0.0, squeezing_to_H(0.0)), VERTICAL)
+    def test_every_configuration(self, config, qubit):
+        outputs = build_scenario(config)
+        reference = reference_counts(config)
+        for counts in (
+            evaluate_counts(config),
+            port_count(outputs.port_a, outputs.port_b, qubit),
+        ):
+            assert abs(counts.count_a - reference.count_a) <= 1e-9
+            assert abs(counts.count_b - reference.count_b) <= 1e-9
 
     def test_reference_anchors(self):
         counts = reference_counts(ScenarioConfig("a", KIND_CLASSICAL, 1.0, 1.0))
@@ -176,60 +169,16 @@ class TestNetworkStructure:
             assert field.coefficient(signal_h) == (0.0, 0.0)
             assert field.coefficient(signal_v) == (0.0, 0.0)
 
-    def test_strong_squeezing_visibility_approaches_one(self):
-        config = ScenarioConfig("a", KIND_TWO_MODE, 1.0, squeezing_to_H(0.9999))
-        assert visibility(evaluate_counts(config)) >= 0.999
-
     # The physics that guards against an ancilla shared between elements:
     # such a network's outputs are not canonical, or do not commute.
-    @staticmethod
-    def _assert_canonical_and_commuting(config):
+    @settings(max_examples=200, deadline=None)
+    @given(config=scenario_configs())
+    def test_outputs_canonical_and_commuting_any_config(self, config):
         fields = build_scenario(config).all_fields
         for i, field in enumerate(fields):
             assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
             for other in fields[i + 1 :]:
                 assert commutator(field, other) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ScenarioConfig("a", KIND_TWO_MODE, 0.7, 1.125),
-            ScenarioConfig("a", KIND_SINGLE_SQUEEZER, 0.7, 2.53125),
-            ScenarioConfig("b", KIND_TWO_MODE, 0.7, 1.125, ETA_AUTO),
-            ScenarioConfig("b", KIND_SINGLE_SQUEEZER, 0.7, 2.53125, 0.5),
-            ScenarioConfig("c", KIND_TWO_MODE, 0.7, 1.125),
-            ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 0.7, 2.53125),
-        ],
-    )
-    def test_outputs_canonical_and_commuting(self, config):
-        self._assert_canonical_and_commuting(config)
-
-    @settings(max_examples=200, deadline=None)
-    @given(config=scenario_configs())
-    def test_outputs_canonical_and_commuting_any_config(self, config):
-        self._assert_canonical_and_commuting(config)
-
-
-class TestBalancedOperation:
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
-    def test_unit_visibility_at_balanced_point(self, s):
-        H = squeezing_to_H(s)
-        gain = optimal_gain(H)
-        config = ScenarioConfig("b", KIND_TWO_MODE, gain, H, gain * gain)
-        assert abs(visibility(evaluate_counts(config)) - 1.0) <= 1e-9
-
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
-    def test_dark_port_lock_point(self, s):
-        H = squeezing_to_H(s)
-        config = ScenarioConfig("c", KIND_TWO_MODE, optimal_gain(H), H)
-        counts = evaluate_counts(config)
-        assert counts.count_b <= 1e-12
-        assert abs(visibility(counts) - 1.0) <= 1e-9
-
-    @pytest.mark.parametrize("gain", [0.1, 0.5, 1.0, 1.5])
-    def test_dual_teleporter_classical_visibility(self, gain):
-        config = ScenarioConfig("c", KIND_CLASSICAL, gain, 1.0)
-        assert visibility(evaluate_counts(config)) == pytest.approx(0.2, abs=1e-12)
 
 
 class TestOptimizeEta:

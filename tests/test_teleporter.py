@@ -175,20 +175,6 @@ class TestSingleSqueezerChannel:
 
 
 class TestComposedChannel:
-    @pytest.mark.parametrize("gain", [0.5, 1.0])
-    @pytest.mark.parametrize("H", [1.125, 3.025])
-    def test_matches_direct_map_in_magnitude(self, gain, H):
-        c1, f1a, f2a = channel_fixture()
-        c2, f1b, f2b = channel_fixture()
-        spec = TeleporterSpec(KIND_TWO_MODE, gain, H)
-        direct = teleport_two_mode(c1, spec, f1a, f2a)
-        composed = teleport_composed(c2, spec, f1b, f2b)
-        for mode1, mode2 in ((c1.support()[0], c2.support()[0]), (f1a, f1b), (f2a, f2b)):
-            du, dv = direct.coefficient(mode1)
-            cu, cv = composed.coefficient(mode2)
-            assert abs(du) == pytest.approx(abs(cu), abs=1e-12)
-            assert abs(dv) == pytest.approx(abs(cv), abs=1e-12)
-
     def test_strong_squeezing_limit(self):
         c, f1, f2 = channel_fixture()
         out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1e4), f1, f2)
