@@ -132,6 +132,15 @@ class TestOracleFlux:
         reg.fresh_mode("a_v")
         assert oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0)) == 1.0
 
+    def test_matches_formula_on_network_outputs(self):
+        config = ScenarioConfig("a", KIND_TWO_MODE, 0.7, squeezing_to_H(0.5))
+        outputs = build_scenario(config)
+        state = QubitInput(0.6, 0.8j)
+        for field in outputs.all_fields:
+            assert oracle_flux(field, state) == pytest.approx(
+                photon_flux(field, state), abs=1e-10
+            )
+
     def test_dark_port_is_exactly_empty(self):
         H = squeezing_to_H(0.5)
         config = ScenarioConfig("c", KIND_TWO_MODE, optimal_gain(H), H)

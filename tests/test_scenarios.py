@@ -37,6 +37,8 @@ from mzteleport.modes import commutator
 from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS, SweepRow
 from mzteleport.teleporter import KINDS, check_channel
 
+GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+SQUEEZING_GRID = [0.0, 0.5, 0.9]
 VERTICAL = QubitInput(0.0, 1.0)
 
 
@@ -123,8 +125,36 @@ class TestConfigValidation:
 
 
 class TestNetworkAgainstClosedForms:
+    @staticmethod
+    def _assert_network_matches_reference(config):
+        network = evaluate_counts(config)
+        reference = reference_counts(config)
+        assert abs(network.count_a - reference.count_a) <= 1e-9
+        assert abs(network.count_b - reference.count_b) <= 1e-9
+
+    @pytest.mark.parametrize("gain", GAIN_GRID)
+    @pytest.mark.parametrize("s", SQUEEZING_GRID)
+    @pytest.mark.parametrize("layout", ["a", "c"])
+    def test_two_mode_layouts(self, gain, s, layout):
+        config = ScenarioConfig(layout, KIND_TWO_MODE, gain, squeezing_to_H(s))
+        self._assert_network_matches_reference(config)
+
+    @pytest.mark.parametrize("gain", GAIN_GRID)
+    @pytest.mark.parametrize("s", SQUEEZING_GRID)
+    @pytest.mark.parametrize("eta", [ETA_AUTO, 0.3, 1.0])
+    def test_balanced_layout(self, gain, s, eta):
+        config = ScenarioConfig("b", KIND_TWO_MODE, gain, squeezing_to_H(s), eta)
+        self._assert_network_matches_reference(config)
+
+    @pytest.mark.parametrize("gain", GAIN_GRID)
+    @pytest.mark.parametrize("s", [0.5, 0.875])
+    def test_single_squeezer_layout_a(self, gain, s):
+        config = ScenarioConfig("a", KIND_SINGLE_SQUEEZER, gain, squeezing_to_H(s))
+        self._assert_network_matches_reference(config)
+
     # One closed form covers every layout and source, for any input qubit.
-    # The examples pin grid corners that a random draw is not sure to hit.
+    # The examples send the v polarization through grid corners, which the
+    # grid cases above evaluate only for the horizontal qubit.
     @settings(max_examples=300, deadline=None)
     @given(config=scenario_configs(), qubit=qubits())
     @example(ScenarioConfig("b", KIND_TWO_MODE, 1.5, squeezing_to_H(0.9), 1.0), VERTICAL)
@@ -169,16 +199,38 @@ class TestNetworkStructure:
             assert field.coefficient(signal_h) == (0.0, 0.0)
             assert field.coefficient(signal_v) == (0.0, 0.0)
 
+    def test_strong_squeezing_visibility_approaches_one(self):
+        config = ScenarioConfig("a", KIND_TWO_MODE, 1.0, squeezing_to_H(0.9999))
+        assert visibility(evaluate_counts(config)) >= 0.999
+
     # The physics that guards against an ancilla shared between elements:
     # such a network's outputs are not canonical, or do not commute.
-    @settings(max_examples=200, deadline=None)
-    @given(config=scenario_configs())
-    def test_outputs_canonical_and_commuting_any_config(self, config):
+    @staticmethod
+    def _assert_canonical_and_commuting(config):
         fields = build_scenario(config).all_fields
         for i, field in enumerate(fields):
             assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
             for other in fields[i + 1 :]:
                 assert commutator(field, other) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig("a", KIND_TWO_MODE, 0.7, 1.125),
+            ScenarioConfig("a", KIND_SINGLE_SQUEEZER, 0.7, 2.53125),
+            ScenarioConfig("b", KIND_TWO_MODE, 0.7, 1.125, ETA_AUTO),
+            ScenarioConfig("b", KIND_SINGLE_SQUEEZER, 0.7, 2.53125, 0.5),
+            ScenarioConfig("c", KIND_TWO_MODE, 0.7, 1.125),
+            ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 0.7, 2.53125),
+        ],
+    )
+    def test_outputs_canonical_and_commuting(self, config):
+        self._assert_canonical_and_commuting(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=scenario_configs())
+    def test_outputs_canonical_and_commuting_any_config(self, config):
+        self._assert_canonical_and_commuting(config)
 
 
 class TestOptimizeEta:
