@@ -7,8 +7,6 @@ calibration.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 

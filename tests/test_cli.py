@@ -252,6 +252,19 @@ class TestOutputDigests:
              "3f85805cca803d960f07ad8f1923fec6a71e91a3542418eb3e326c82104395cd"),
             (["fidelity", "--source", "none"],
              "b0aed4787358d73e1db28087a436161584ef5b4c565148719550d669ee184622"),
+            (["sweep"],
+             "ce98ef26b947c1fd3e9896328c75e459006ec0e0ba91a40d1afae026fc7402f2"),
+            (["sweep", "--scenario", "b", "--eta", "auto", "--source", "single",
+              "--squeezing", "0.875"],
+             "01b938753fe8579e9d681df1e47466d78d168c65c44f349fc7d29a095badef9c"),
+            (["lock-curve", "--squeezing", "0.5"],
+             "c4293aebc24cd5b50f5531e083d2a13a71c401a640ed12650ac36d4a93bdbbe1"),
+            (["classical-max"],
+             "e0ea2c9704e93fbd017391de8e2dac872e8a85d189edf13da374788a483aa93b"),
+            (["figure", "fig5", "--format", "gnuplot"],
+             "2d3ce2b5950ab19bffb6986c8a6a9312f4e2bd50e736c0ad5977880397e4a388"),
+            (["figure", "fig4", "--format", "tsv"],
+             "94f832b28d04a29b2f4a3a90c19ddfec205de9e9d27a20013a0e11bb3684f152"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -134,13 +134,6 @@ class TestNetworkAgainstClosedForms:
 
     @pytest.mark.parametrize("gain", GAIN_GRID)
     @pytest.mark.parametrize("s", SQUEEZING_GRID)
-    @pytest.mark.parametrize("layout", ["a", "c"])
-    def test_two_mode_layouts(self, gain, s, layout):
-        config = ScenarioConfig(layout, KIND_TWO_MODE, gain, squeezing_to_H(s))
-        self._assert_network_matches_reference(config)
-
-    @pytest.mark.parametrize("gain", GAIN_GRID)
-    @pytest.mark.parametrize("s", SQUEEZING_GRID)
     @pytest.mark.parametrize("eta", [ETA_AUTO, 0.3, 1.0])
     def test_balanced_layout(self, gain, s, eta):
         config = ScenarioConfig("b", KIND_TWO_MODE, gain, squeezing_to_H(s), eta)
@@ -153,8 +146,9 @@ class TestNetworkAgainstClosedForms:
         self._assert_network_matches_reference(config)
 
     # One closed form covers every layout and source, for any input qubit.
-    # The examples send the v polarization through grid corners, which the
-    # grid cases above evaluate only for the horizontal qubit.
+    # The examples send the v polarization through corners of the gain and
+    # squeezing ranges, which neither a random draw nor the grid cases above
+    # (horizontal qubit only) is sure to reach.
     @settings(max_examples=300, deadline=None)
     @given(config=scenario_configs(), qubit=qubits())
     @example(ScenarioConfig("b", KIND_TWO_MODE, 1.5, squeezing_to_H(0.9), 1.0), VERTICAL)
@@ -198,10 +192,6 @@ class TestNetworkStructure:
         for field in outputs.port_b:
             assert field.coefficient(signal_h) == (0.0, 0.0)
             assert field.coefficient(signal_v) == (0.0, 0.0)
-
-    def test_strong_squeezing_visibility_approaches_one(self):
-        config = ScenarioConfig("a", KIND_TWO_MODE, 1.0, squeezing_to_H(0.9999))
-        assert visibility(evaluate_counts(config)) >= 0.999
 
     # The physics that guards against an ancilla shared between elements:
     # such a network's outputs are not canonical, or do not commute.

@@ -252,8 +252,8 @@ class TestCoherentFidelity:
     @given(st.floats(0.0, 1.0, exclude_max=True))
     def test_closed_forms(self, s):
         # The closed forms `bench/checks.py` checks the CLI's fidelity rows
-        # against, at the squeezing the pump gain holds: H - 1 ~ s^2/4
-        # cannot carry an s below ~1e-8 to full precision.
+        # against, at the squeezing the pump gain holds: H - 1 ~ s^2/4 is
+        # held to only ~1e-16 absolute, so a small s is not carried exactly.
         H = squeezing_to_H(s)
         two_mode = coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, 1.0, H))
         single = coherent_fidelity(TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, H))
