@@ -31,7 +31,7 @@ from .modes import (
     attenuate,
     beamsplitter,
 )
-from .photometry import HORIZONTAL, PortCounts, port_count, visibility
+from .photometry import HORIZONTAL, PortCounts, port_count
 from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
@@ -251,15 +251,14 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
     naming the gain of its row.
     """
     gains = _gain_column(gain_grid)
-    count_a, count_b, fringes = np.empty((3, len(gains)))
+    count_a, count_b = np.empty((2, len(gains)))
     for k, gain in enumerate(map(float, gains)):
         counts = evaluate_counts(replace(config, gain=gain))
-        try:
-            fringes[k] = visibility(counts)
-        except ValueError:
-            fringes[k] = math.nan
         count_a[k] = counts.count_a
         count_b[k] = counts.count_b
+    # A dark row is 0/0, NaN; a total past the float range is inf, visibility 0.
+    with np.errstate(invalid="ignore", over="ignore"):
+        fringes = (count_a - count_b) / (count_a + count_b)
     return SweepTable(gains, count_a, count_b, fringes)
 
 

@@ -190,16 +190,6 @@ class TestSqueezers:
         assert e1.coefficient(f2)[1] == pytest.approx(math.sqrt(0.125), abs=0)
         assert e1.coefficient(f2)[1] == pytest.approx(0.35355, abs=5e-6)
 
-    @pytest.mark.parametrize("H", [1.0, 1.125, 3.025, 10.0])
-    def test_two_mode_preserves_commutators(self, H):
-        reg = fresh_registry()
-        f1 = reg.fresh_mode("f1")
-        f2 = reg.fresh_mode("f2")
-        e1, e2 = two_mode_squeezer(f1, f2, H)
-        assert commutator(e1, e1) == pytest.approx(1.0, abs=1e-12)
-        assert commutator(e2, e2) == pytest.approx(1.0, abs=1e-12)
-        assert commutator(e1, e2) == pytest.approx(0.0, abs=1e-12)
-
 
 class TestAttenuator:
     def test_lossless_is_identity(self):

@@ -8,10 +8,15 @@ transmission ``eta = t^2 / (1 + t^2)`` and the qubit
 identity to exactly zero on one layout/source pair: the network's counts
 equal the closed form for every qubit, which is the paper's claim that the
 counts do not depend on the input state, and the outputs are canonical and
-commute. Three more reduce the closed forms the package prints or optimizes
-with: the balanced transmission is the stationary point of layout-b
-visibility, the two-mode and classical fidelity is ``1/(2 - s)``, and the
-teleporter built from its parts is the direct map up to one ancilla phase.
+commute. Four prove the elements' laws for every ``g >= 0`` and ``H = 1 + K``:
+the teleporter map each kind runs in an arm (``teleport_two_mode`` for the
+two-mode and classical kinds, ``teleport_single_squeezer`` for the
+single-squeezer kind) keeps a bare annihilator canonical, and the two outputs
+of ``two_mode_squeezer`` are canonical and commute. Three more reduce the
+closed forms the package prints or optimizes with: the balanced transmission
+is the stationary point of layout-b visibility, the two-mode and classical
+fidelity is ``1/(2 - s)``, and the teleporter built from its parts is the
+direct map up to one ancilla phase.
 The last three prove the paper's operating points for every pump gain: the
 dark ports of layouts c and b at the optimal gain, and the classical
 visibility of 1/5 in layout c at every gain.
@@ -40,8 +45,8 @@ from mzteleport import (
     teleporter,
     visibility,
 )
-from mzteleport.modes import ModeRegistry, annihilator_field, commutator
-from mzteleport.scenarios import LAYOUTS, ScenarioConfig, _port_noise
+from mzteleport.modes import ModeRegistry, annihilator_field, commutator, two_mode_squeezer
+from mzteleport.scenarios import LAYOUTS, ScenarioConfig, _port_noise, _teleport_arm
 from mzteleport.teleporter import KIND_CLASSICAL, KIND_TWO_MODE, KINDS, teleport_two_mode
 
 GAIN, K = sp.symbols("g K", nonnegative=True)
@@ -81,6 +86,13 @@ def reduce(expr) -> sp.Expr:
     return sp.expand(sp.expand(expr).subs(sp.sin(THETA) ** 2, 1 - sp.cos(THETA) ** 2))
 
 
+def assert_canonical_and_commuting(fields) -> None:
+    """``[O_i, O_j^dag]`` is exactly 1 for ``i == j`` and 0 otherwise."""
+    for i, field_a in enumerate(fields):
+        for j, field_b in enumerate(fields):
+            assert sp.expand(commutator(field_a, field_b) - int(i == j)).is_zero
+
+
 def test_symbolic_qubit_is_normalized():
     assert reduce(abs(QUBIT.x) ** 2 + abs(QUBIT.y) ** 2) == 1
 
@@ -97,10 +109,22 @@ def test_network_equals_closed_form_for_every_qubit(layout, kind):
 
 @pytest.mark.parametrize("layout, kind", PAIRS)
 def test_outputs_canonical_and_commuting(layout, kind):
-    fields = build_scenario(symbolic_config(layout, kind)).all_fields
-    for i, field_a in enumerate(fields):
-        for j, field_b in enumerate(fields):
-            assert sp.expand(commutator(field_a, field_b) - int(i == j)).is_zero
+    assert_canonical_and_commuting(build_scenario(symbolic_config(layout, kind)).all_fields)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_teleported_annihilator_is_canonical(kind):
+    # The channel build_scenario runs in a teleported arm, on a bare input.
+    registry = ModeRegistry()
+    signal = annihilator_field(registry.fresh_mode("c"))
+    spec = TeleporterSpec(kind, GAIN, pump_gain(kind))
+    assert_canonical_and_commuting([_teleport_arm(signal, spec, registry, "c")])
+
+
+def test_two_mode_squeezer_outputs_canonical_and_commuting():
+    registry = ModeRegistry()
+    f1, f2 = map(registry.fresh_mode, ("f1", "f2"))
+    assert_canonical_and_commuting(two_mode_squeezer(f1, f2, 1 + K))
 
 
 @pytest.mark.parametrize("kind", KINDS)

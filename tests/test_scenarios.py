@@ -139,12 +139,6 @@ class TestNetworkAgainstClosedForms:
         config = ScenarioConfig("b", KIND_TWO_MODE, gain, squeezing_to_H(s), eta)
         self._assert_network_matches_reference(config)
 
-    @pytest.mark.parametrize("gain", GAIN_GRID)
-    @pytest.mark.parametrize("s", [0.5, 0.875])
-    def test_single_squeezer_layout_a(self, gain, s):
-        config = ScenarioConfig("a", KIND_SINGLE_SQUEEZER, gain, squeezing_to_H(s))
-        self._assert_network_matches_reference(config)
-
     # One closed form covers every layout and source, for any input qubit.
     # The examples send the v polarization through corners of the gain and
     # squeezing ranges, which neither a random draw nor the grid cases above
@@ -195,32 +189,14 @@ class TestNetworkStructure:
 
     # The physics that guards against an ancilla shared between elements:
     # such a network's outputs are not canonical, or do not commute.
-    @staticmethod
-    def _assert_canonical_and_commuting(config):
+    @settings(max_examples=200, deadline=None)
+    @given(config=scenario_configs())
+    def test_outputs_canonical_and_commuting_any_config(self, config):
         fields = build_scenario(config).all_fields
         for i, field in enumerate(fields):
             assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
             for other in fields[i + 1 :]:
                 assert commutator(field, other) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ScenarioConfig("a", KIND_TWO_MODE, 0.7, 1.125),
-            ScenarioConfig("a", KIND_SINGLE_SQUEEZER, 0.7, 2.53125),
-            ScenarioConfig("b", KIND_TWO_MODE, 0.7, 1.125, ETA_AUTO),
-            ScenarioConfig("b", KIND_SINGLE_SQUEEZER, 0.7, 2.53125, 0.5),
-            ScenarioConfig("c", KIND_TWO_MODE, 0.7, 1.125),
-            ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 0.7, 2.53125),
-        ],
-    )
-    def test_outputs_canonical_and_commuting(self, config):
-        self._assert_canonical_and_commuting(config)
-
-    @settings(max_examples=200, deadline=None)
-    @given(config=scenario_configs())
-    def test_outputs_canonical_and_commuting_any_config(self, config):
-        self._assert_canonical_and_commuting(config)
 
 
 class TestOptimizeEta:
@@ -344,6 +320,12 @@ class TestSweep:
         assert math.isnan(table.rows[0].visibility)
         assert table.rows[1].visibility == pytest.approx(0.2, abs=1e-12)
         assert table.peak().gain == 0.5
+
+    def test_total_past_float_range_records_zero_visibility(self):
+        # Both counts are finite (about 1.25e308 each); their sum is not.
+        (row,) = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), [1e154]).rows
+        assert math.isfinite(row.count_a) and math.isfinite(row.count_b)
+        assert row.visibility == 0.0
 
     def test_peak_requires_a_defined_row(self):
         table = sweep_gain(ScenarioConfig("c", KIND_CLASSICAL, 0.0, 1.0), [0.0])

@@ -1,7 +1,8 @@
-"""The package's public names, and the hooks the benchmark tracer patches."""
+"""The package's public names, its imports, and the hooks the benchmark tracer patches."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 import shlex
@@ -45,8 +46,10 @@ PUBLIC = [
     "__version__",
 ]
 
-README_PATH = Path(__file__).resolve().parent.parent / "README.md"
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TESTS_DIR = Path(__file__).resolve().parent
+README_PATH = TESTS_DIR.parent / "README.md"
+TRACER_PATH = TESTS_DIR.parent / "bench" / "tracer.py"
+PACKAGE_DIR = TESTS_DIR.parent / "src" / "mzteleport"
 TRACER_SLOTS = 15
 SUBMODULES = ["cli", "fock", "modes", "photometry", "scenarios", "teleporter"]
 
@@ -69,6 +72,33 @@ class TestPublicNames:
         module = importlib.import_module(f"mzteleport.{name}")
         missing = [export for export in module.__all__ if not hasattr(module, export)]
         assert missing == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads; a name in ``__all__`` is read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    # A retired test or helper can leave its imports behind; this finds them.
+    paths = sorted([*PACKAGE_DIR.glob("*.py"), *TESTS_DIR.glob("*.py")])
+    assert PACKAGE_DIR / "__init__.py" in paths
+    unused = {path.name: names for path in paths if (names := unused_imports(path))}
+    assert unused == {}
 
 
 class TestReadme:
