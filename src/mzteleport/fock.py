@@ -60,7 +60,6 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
             if n:
                 _add(image, photons, axis, n - 1, u * math.sqrt(n) * amplitude)
             _add(image, photons, axis, n + 1, v * math.sqrt(n + 1) * amplitude)
-    # Products overflow to inf (or nan) where ``abs(z) ** 2`` would raise.
     flux = sum((z.real * z.real + z.imag * z.imag for z in image.values()), 0.0)
     if not math.isfinite(flux):
         raise OverflowError(f"photon flux overflowed to {flux!r}")

@@ -9,7 +9,8 @@ labels, and the two signal modes are found by theirs.
 
 The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
 check them once, on construction) and casts no number, so it runs on floats
-and on exact sympy expressions alike.
+and on exact sympy expressions alike. The engine squares by multiplying, so a
+float overflow is an inf or nan value, which each route's finiteness check reports.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def quadrature_variances(field: LinearField) -> tuple[float, float]:
     v_x = 0.0
     v_p = 0.0
     for u, v in field.terms.values():
-        v_conj = v.conjugate()
-        v_x += abs(u + v_conj) ** 2
-        v_p += abs(u - v_conj) ** 2
+        x, p = abs(u + v.conjugate()), abs(u - v.conjugate())
+        v_x += x * x
+        v_p += p * p
     return v_x, v_p

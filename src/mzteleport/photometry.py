@@ -29,7 +29,7 @@ class QubitInput:
     y: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.x) ** 2 + abs(self.y) ** 2
+        norm = abs(self.x) * abs(self.x) + abs(self.y) * abs(self.y)
         if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(f"qubit amplitudes are not normalized: |x|^2+|y|^2 = {norm!r}")
 
@@ -71,9 +71,11 @@ def photon_flux(field: LinearField, state: QubitInput) -> float:
     for index, (u, v) in field.terms.items():
         c = amplitudes.get(index, 0j)
         absorbed += u * c
-        spontaneous += abs(v) ** 2
+        magnitude = abs(v)
+        spontaneous += magnitude * magnitude
         stimulated += v * c.conjugate()
-    return abs(absorbed) ** 2 + spontaneous + abs(stimulated) ** 2
+    absorbed, stimulated = abs(absorbed), abs(stimulated)
+    return absorbed * absorbed + spontaneous + stimulated * stimulated
 
 
 def port_count(
@@ -85,8 +87,7 @@ def port_count(
 
     Every flux is a sum of squared magnitudes, so a count that is not
     finite (inf, or nan once an overflowed coefficient meets a zero
-    amplitude) can only come from overflow. It raises ``OverflowError``,
-    as an overflowing ``** 2`` in :func:`photon_flux` does.
+    amplitude) can only come from overflow. It raises ``OverflowError``.
     """
     count_a = sum(photon_flux(field, state) for field in port_a)
     count_b = sum(photon_flux(field, state) for field in port_b)

@@ -176,8 +176,7 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     elif config.layout == "c":
         arm_d, noise_d = gain, noise_c
     bright, dark, noise = gain + arm_d, gain - arm_d, noise_c + noise_d
-    # Products overflow to inf (or nan) where ``** 2`` would raise. Halved factors
-    # keep 0.25*x*x's overflow threshold, and exact arithmetic sees the square >= 0.
+    # Halved factors keep 0.25*x*x's overflow threshold; exact arithmetic sees it >= 0.
     count_a = (0.5 * bright) * (0.5 * bright) + noise
     count_b = (0.5 * dark) * (0.5 * dark) + noise
     if not (math.isfinite(count_a) and math.isfinite(count_b)):

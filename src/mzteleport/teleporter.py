@@ -181,17 +181,16 @@ def squeezing_to_H(s: float) -> float:
     if not 0.0 <= s < 1.0:
         raise ValueError(f"squeezing fraction must lie in [0, 1), got {s!r}")
     remaining = 1.0 - s
+    total = 1.0 + remaining
     # The exact value is >= 1; rounding can land one ulp below for s ~ 1e-16.
-    return max(1.0, (1.0 + remaining) ** 2 / (4.0 * remaining))
+    return max(1.0, total * total / (4.0 * remaining))
 
 
 def H_to_squeezing(H: float) -> float:
     """Inverse of :func:`squeezing_to_H`."""
     check_pump_gain(H)
-    try:
-        return 1.0 - 1.0 / (math.sqrt(H) + math.sqrt(H - 1.0)) ** 2
-    except OverflowError:  # above H ~ 4.5e307, where the exact value rounds to 1
-        return 1.0
+    root_sum = math.sqrt(H) + math.sqrt(H - 1.0)
+    return 1.0 - 1.0 / (root_sum * root_sum)
 
 
 def coherent_fidelity(spec: TeleporterSpec) -> float:

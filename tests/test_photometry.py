@@ -32,8 +32,9 @@ class TestQubitInput:
             QubitInput(1.0, 0.5)
         with pytest.raises(ValueError, match="not normalized"):
             QubitInput(0.0, 0.0)
-        # NaN fails every comparison, so only a check that the norm is within tol rejects it.
-        for x, y in ((math.nan, 0.0), (1.0, complex(0.0, math.nan))):
+        # NaN fails every comparison, so only a check that the norm is within tol rejects it;
+        # a squared magnitude past the float range is inf.
+        for x, y in ((math.nan, 0.0), (1.0, complex(0.0, math.nan)), (1e200, 0.0)):
             with pytest.raises(ValueError, match="not normalized"):
                 QubitInput(x, y)
 

@@ -12,7 +12,11 @@ commute. Four prove the elements' laws for every ``g >= 0`` and ``H = 1 + K``:
 the teleporter map each kind runs in an arm (``teleport_two_mode`` for the
 two-mode and classical kinds, ``teleport_single_squeezer`` for the
 single-squeezer kind) keeps a bare annihilator canonical, and the two outputs
-of ``two_mode_squeezer`` are canonical and commute. Three more reduce the
+of ``two_mode_squeezer`` are canonical and commute. Two more state the
+attenuator's and the optimal gain's laws: ``attenuate`` maps a general two-mode
+field ``D`` to one with ``[A, A^dag] = eta [D, D^dag] + 1 - eta``, so a canonical
+field stays canonical for every ``eta`` in (0, 1), and ``optimal_gain(H)`` zeroes
+the teleporter's creation amplitude for every ``H = 1 + K``. Three more reduce the
 closed forms the package prints or optimizes with: the balanced transmission
 is the stationary point of layout-b visibility, the two-mode and classical
 fidelity is ``1/(2 - s)``, and the teleporter built from its parts is the
@@ -45,9 +49,22 @@ from mzteleport import (
     teleporter,
     visibility,
 )
-from mzteleport.modes import ModeRegistry, annihilator_field, commutator, two_mode_squeezer
+from mzteleport.modes import (
+    ModeRegistry,
+    annihilator_field,
+    attenuate,
+    commutator,
+    field_from_terms,
+    two_mode_squeezer,
+)
 from mzteleport.scenarios import LAYOUTS, ScenarioConfig, _port_noise, _teleport_arm
-from mzteleport.teleporter import KIND_CLASSICAL, KIND_TWO_MODE, KINDS, teleport_two_mode
+from mzteleport.teleporter import (
+    KIND_CLASSICAL,
+    KIND_TWO_MODE,
+    KINDS,
+    noise_amplitudes,
+    teleport_two_mode,
+)
 
 GAIN, K = sp.symbols("g K", nonnegative=True)
 # Positive t puts eta strictly inside (0, 1), where sympy can place it.
@@ -125,6 +142,25 @@ def test_two_mode_squeezer_outputs_canonical_and_commuting():
     registry = ModeRegistry()
     f1, f2 = map(registry.fresh_mode, ("f1", "f2"))
     assert_canonical_and_commuting(two_mode_squeezer(f1, f2, 1 + K))
+
+
+def test_attenuator_keeps_a_canonical_field_canonical():
+    # [A, A^dag] = eta [D, D^dag] + 1 - eta for a general two-mode D, so a
+    # canonical D stays canonical at every transmission in (0, 1).
+    registry = ModeRegistry()
+    d1, d2, g = map(registry.fresh_mode, ("d1", "d2", "g"))
+    u1, v1, u2, v2 = sp.symbols("u1 v1 u2 v2")
+    field_d = field_from_terms(registry, {d1: (u1, v1), d2: (u2, v2)})
+    eta = T**2 / (1 + T**2)
+    attenuated = attenuate(field_d, eta, g)
+    law = eta * commutator(field_d, field_d) + 1 - eta
+    assert sp.expand(commutator(attenuated, attenuated) - law) == 0
+
+
+def test_optimal_gain_zeroes_creation_amplitude():
+    H = 1 + K
+    creation, _ = noise_amplitudes(optimal_gain(H), H)
+    assert sp.expand(creation) == 0
 
 
 @pytest.mark.parametrize("kind", KINDS)

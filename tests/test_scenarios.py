@@ -132,9 +132,11 @@ class TestNetworkAgainstClosedForms:
         assert abs(network.count_a - reference.count_a) <= 1e-9
         assert abs(network.count_b - reference.count_b) <= 1e-9
 
+    # The layout-b proof in test_proofs.py covers every eta in (0, 1); these
+    # columns reach its ends: auto resolves to 0 at gain 0 without squeezing.
     @pytest.mark.parametrize("gain", GAIN_GRID)
     @pytest.mark.parametrize("s", SQUEEZING_GRID)
-    @pytest.mark.parametrize("eta", [ETA_AUTO, 0.3, 1.0])
+    @pytest.mark.parametrize("eta", [ETA_AUTO, 1.0])
     def test_balanced_layout(self, gain, s, eta):
         config = ScenarioConfig("b", KIND_TWO_MODE, gain, squeezing_to_H(s), eta)
         self._assert_network_matches_reference(config)
@@ -360,7 +362,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "config, gain",
         [
-            # A squared magnitude overflows in photon_flux.
+            # A squared magnitude overflows to inf in photon_flux.
             (ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), 1e200),
             # A sum of fluxes overflows to inf.
             (ScenarioConfig("c", KIND_CLASSICAL, 0.0, 1.0), 1e154),

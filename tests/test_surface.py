@@ -101,6 +101,19 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def test_package_squares_by_multiplying():
+    # A float ``x ** 2`` goes through libm pow: it raises OverflowError where
+    # ``x * x`` is inf, and it rounds differently now and then. Docstrings
+    # are not expressions, so a formula written there stays legal.
+    powers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    assert powers == []
+
+
 class TestReadme:
     def test_python_example_prints_what_it_claims(self):
         # The README's one Python block: a locked dark port and unit visibility.
