@@ -205,6 +205,15 @@ class TestAttenuator:
         blocked = attenuate(annihilator_field(d_mode), 0.0, g)
         assert blocked == annihilator_field(g)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.9, 1.0])
+    def test_stays_canonical(self, eta, rng, signal_registry):
+        modes = [m for m in signal_registry][:4]
+        field = random_canonical_field(signal_registry, modes, rng)
+        g = signal_registry.fresh_mode("g")
+        assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
+        attenuated = attenuate(field, eta, g)
+        assert commutator(attenuated, attenuated) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestQuadratureVariances:
     def test_vacuum(self):

@@ -25,7 +25,7 @@ from mzteleport.modes import (
     combine,
     quadrature_variances,
 )
-from mzteleport.teleporter import teleport_single_squeezer, teleport_two_mode
+from mzteleport.teleporter import noise_amplitudes, teleport_single_squeezer, teleport_two_mode
 
 
 def channel_fixture():
@@ -184,6 +184,12 @@ class TestOperatingPoints:
         for H in (0.9, math.nan, math.inf):
             with pytest.raises(ValueError, match=">= 1"):
                 optimal_gain(H)
+
+    @pytest.mark.parametrize("H", [1.0, 1.125, 2.53125, 3.025, 10.0])
+    def test_optimal_gain_zeroes_creation_amplitude(self, H):
+        spec = TeleporterSpec(KIND_TWO_MODE, optimal_gain(H), H)
+        creation_amp, _ = noise_amplitudes(spec.gain, spec.H)
+        assert abs(creation_amp) <= 1e-15
 
     def test_squeezing_conversions(self):
         assert squeezing_to_H(0.0) == 1.0
