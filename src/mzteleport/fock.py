@@ -11,10 +11,11 @@ mode. A cutoff of 3 or more therefore truncates nothing, and the result
 is the mathematically exact value, not an approximation.
 
 :func:`oracle_flux` holds ``|psi>`` and its image as dicts from basis
-states (photon numbers on the field's modes plus both signal modes) to
-amplitudes. ``|psi>`` has two entries, and each term ``u a + v a^dag``
-sends each of them to at most two basis states, so the image holds at
-most four new basis states per term.
+states to amplitudes. A basis state is one ``int`` with two bits of photon
+number (0 to 3, past the two-photon reach) per mode, at bit ``2 * index``
+for the mode's registry index. ``|psi>`` has two entries, and each term
+``u a + v a^dag`` sends each to at most two basis states, so the image
+holds at most four new basis states per term.
 """
 
 from __future__ import annotations
@@ -31,42 +32,29 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     """Recompute ``photon_flux`` as ``<psi| M^dag M |psi>`` in Fock space.
 
     ``|psi>`` has amplitude ``x`` on the one-photon horizontal basis state
-    and ``y`` on the vertical one, over the field's modes plus both signal
-    modes. Each term ``u a + v a^dag`` sends a basis state with ``n``
-    photons on its mode to ``n - 1`` photons with amplitude ``u sqrt(n)``
-    and to ``n + 1`` with ``v sqrt(n + 1)``, added into one image. No
-    state exceeds two photons on a mode, so every ``cutoff >= 3`` gives
-    the same, exact value. A non-finite (overflowed) flux raises
-    ``OverflowError``.
+    and ``y`` on the vertical one. Each term ``u a + v a^dag`` sends a
+    basis state with ``n`` photons on its mode to ``n - 1`` photons with
+    amplitude ``u sqrt(n)`` and to ``n + 1`` with ``v sqrt(n + 1)``, added
+    into one image. No state exceeds two photons on a mode, so every
+    ``cutoff >= 3`` gives the same, exact value. A non-finite (overflowed)
+    flux raises ``OverflowError``.
     """
     if cutoff < 3:
         raise ValueError(
             f"cutoff must be >= 3 to hold the two-photon image exactly, got {cutoff!r}"
         )
     sig_h, sig_v = field.registry.signal_pair()
-    indices = sorted(set(field.terms) | {sig_h.index, sig_v.index})
-    axis_of = {index: axis for axis, index in enumerate(indices)}
-    psi = {}
-    for mode, amplitude in ((sig_h, state.x), (sig_v, state.y)):
-        photons = [0] * len(indices)
-        photons[axis_of[mode.index]] = 1
-        psi[tuple(photons)] = amplitude
+    psi = {1 << 2 * sig_h.index: state.x, 1 << 2 * sig_v.index: state.y}
 
-    image: dict[tuple[int, ...], complex] = {}
+    image: dict[int, complex] = {}
     for index, (u, v) in field.terms.items():
-        axis = axis_of[index]
-        for photons, amplitude in psi.items():
-            n = photons[axis]
+        one = 1 << 2 * index
+        for basis, amplitude in psi.items():
+            n = basis >> 2 * index & 3
             if n:
-                _add(image, photons, axis, n - 1, u * math.sqrt(n) * amplitude)
-            _add(image, photons, axis, n + 1, v * math.sqrt(n + 1) * amplitude)
+                image[basis - one] = image.get(basis - one, 0.0) + u * math.sqrt(n) * amplitude
+            image[basis + one] = image.get(basis + one, 0.0) + v * math.sqrt(n + 1) * amplitude
     flux = sum((z.real * z.real + z.imag * z.imag for z in image.values()), 0.0)
     if not math.isfinite(flux):
         raise OverflowError(f"photon flux overflowed to {flux!r}")
     return flux
-
-
-def _add(image: dict, photons: tuple[int, ...], axis: int, n: int, amplitude: complex) -> None:
-    """Add ``amplitude`` to the basis state ``photons`` with ``n`` photons on ``axis``."""
-    key = (*photons[:axis], n, *photons[axis + 1 :])
-    image[key] = image.get(key, 0.0) + amplitude

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "SIGNAL_LABELS",
@@ -64,12 +64,6 @@ class ModeRegistry:
     def __init__(self) -> None:
         self._modes: list[ModeId] = []
         self._by_label: dict[str, ModeId] = {}
-
-    def __len__(self) -> int:
-        return len(self._modes)
-
-    def __iter__(self) -> Iterator[ModeId]:
-        return iter(self._modes)
 
     def fresh_mode(self, label: str) -> ModeId:
         """Register a new mode under a label not yet in use."""

@@ -29,7 +29,9 @@ class QubitInput:
     y: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.x) * abs(self.x) + abs(self.y) * abs(self.y)
+        # Squared parts, not abs(): a modulus past the float range is then inf, not OverflowError.
+        x, y = self.x, self.y
+        norm = x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
         if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(f"qubit amplitudes are not normalized: |x|^2+|y|^2 = {norm!r}")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mzteleport import QubitInput
-from mzteleport.modes import ModeRegistry, field_from_terms
+from mzteleport.modes import ModeId, ModeRegistry, field_from_terms
 
 
 @pytest.fixture
@@ -15,14 +15,17 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def signal_registry() -> ModeRegistry:
-    """A registry holding the two signal modes plus six spare ancillas."""
+def signal_modes() -> list[ModeId]:
+    """The two signal modes plus six spare ancillas, on one fresh registry."""
     registry = ModeRegistry()
-    registry.fresh_mode("a_h")
-    registry.fresh_mode("a_v")
-    for i in range(6):
-        registry.fresh_mode(f"spare_{i}")
-    return registry
+    labels = ["a_h", "a_v", *(f"spare_{i}" for i in range(6))]
+    return [registry.fresh_mode(label) for label in labels]
+
+
+@pytest.fixture
+def signal_registry(signal_modes) -> ModeRegistry:
+    """The registry that holds :func:`signal_modes`."""
+    return signal_modes[0].registry
 
 
 def random_canonical_field(registry, modes, rng) -> "LinearField":

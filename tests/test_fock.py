@@ -109,8 +109,8 @@ class TestOperatorMatrix:
         direct = r * np.kron(lower, eye) + r * np.kron(eye, lower)
         assert np.allclose(matrix, direct, atol=1e-15)
 
-    def test_dagger_is_conjugate_transpose(self, rng, signal_registry):
-        modes = list(signal_registry)[:3]
+    def test_dagger_is_conjugate_transpose(self, rng, signal_registry, signal_modes):
+        modes = signal_modes[:3]
         for _ in range(10):
             field = random_canonical_field(signal_registry, modes, rng)
             matrix = operator_matrix(field, 3)
@@ -141,11 +141,12 @@ class TestOracleFlux:
             assert oracle_flux(field, state) <= 1e-12
             assert photon_flux(field, state) <= 1e-12
 
-    def test_random_fields_match_formula_and_cutoff(self, rng, signal_registry):
-        modes = list(signal_registry)
+    def test_random_fields_match_formula_and_cutoff(self, rng, signal_registry, signal_modes):
         for _ in range(25):
             size = int(rng.integers(1, 7))
-            chosen = [modes[i] for i in rng.choice(len(modes), size=size, replace=False)]
+            chosen = [
+                signal_modes[i] for i in rng.choice(len(signal_modes), size=size, replace=False)
+            ]
             field = random_canonical_field(signal_registry, chosen, rng)
             state = random_qubit(rng)
             formula = photon_flux(field, state)
@@ -154,15 +155,16 @@ class TestOracleFlux:
             assert exact_3 == pytest.approx(formula, abs=1e-10)
             assert exact_3 == pytest.approx(uniform_4, abs=1e-12)
 
-    def test_random_fields_match_dense_operator(self, rng, signal_registry):
-        modes = list(signal_registry)
+    def test_random_fields_match_dense_operator(self, rng, signal_registry, signal_modes):
         for size in range(1, 7):
             # A six-mode dense matrix at cutoff 3 is 4096^2 complex entries
             # (about 270 MB); cutoff 2 already holds the image of a
             # one-photon-per-mode input exactly.
             dense_cutoff = 3 if size < 6 else 2
             for _ in range(6):
-                chosen = [modes[i] for i in rng.choice(len(modes), size=size, replace=False)]
+                chosen = [
+                    signal_modes[i] for i in rng.choice(len(signal_modes), size=size, replace=False)
+                ]
                 field = random_canonical_field(signal_registry, chosen, rng)
                 state = random_qubit(rng)
                 assert oracle_flux(field, state, cutoff=3) == pytest.approx(

@@ -33,8 +33,13 @@ class TestQubitInput:
         with pytest.raises(ValueError, match="not normalized"):
             QubitInput(0.0, 0.0)
         # NaN fails every comparison, so only a check that the norm is within tol rejects it;
-        # a squared magnitude past the float range is inf.
-        for x, y in ((math.nan, 0.0), (1.0, complex(0.0, math.nan)), (1e200, 0.0)):
+        # a squared magnitude past the float range is inf, even where abs() would overflow.
+        for x, y in (
+            (math.nan, 0.0),
+            (1.0, complex(0.0, math.nan)),
+            (1e200, 0.0),
+            (complex(1.5e308, 1.5e308), 0.0),
+        ):
             with pytest.raises(ValueError, match="not normalized"):
                 QubitInput(x, y)
 
@@ -60,10 +65,9 @@ class TestPhotonFlux:
         with pytest.raises(ValueError, match="signal"):
             photon_flux(annihilator_field(f), QubitInput(1.0, 0.0))
 
-    def test_nonnegative_on_random_fields(self, rng, signal_registry):
-        modes = list(signal_registry)
+    def test_nonnegative_on_random_fields(self, rng, signal_registry, signal_modes):
         for _ in range(30):
-            field = random_canonical_field(signal_registry, modes[:6], rng)
+            field = random_canonical_field(signal_registry, signal_modes[:6], rng)
             assert photon_flux(field, random_qubit(rng)) >= 0.0
 
 

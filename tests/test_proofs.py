@@ -21,9 +21,11 @@ closed forms the package prints or optimizes with: the balanced transmission
 is the stationary point of layout-b visibility, the two-mode and classical
 fidelity is ``1/(2 - s)``, and the teleporter built from its parts is the
 direct map up to one ancilla phase.
-The last three prove the paper's operating points for every pump gain: the
+Three more prove the paper's operating points for every pump gain: the
 dark ports of layouts c and b at the optimal gain, and the classical
-visibility of 1/5 in layout c at every gain.
+visibility of 1/5 in layout c at every gain. The last proves Bob's read-out
+for the two-mode and classical kinds: at unity gain in layout c, the
+visibility ``V`` fixes the fidelity as ``F = 4V / (1 + 3V)``.
 The float properties in the other files test what a proof does not:
 rounding and overflow.
 """
@@ -226,3 +228,16 @@ def test_dual_teleporter_classical_visibility_is_one_fifth():
     # 5 (a - b) = a + b is V = 1/5 wherever a + b > 0, i.e. for every g > 0.
     bright, dark = network_counts(ScenarioConfig("c", KIND_CLASSICAL, GAIN, 1))
     assert reduce(5 * (bright - dark) - (bright + dark)) == 0
+
+
+@pytest.mark.parametrize("kind", [KIND_TWO_MODE, KIND_CLASSICAL])
+def test_unity_gain_visibility_fixes_fidelity(kind):
+    # Bob's read-out: at unity gain in layout c, F = 4V / (1 + 3V), written
+    # over the total count as F (4a - 2b) = 4 (a - b). The single-squeezer
+    # identity, F^2 = V / (1 - V), fails until that kind's fidelity is fixed
+    # (ROADMAP item 1), which also moves its closed form in bench/checks.py.
+    H = pump_gain(kind)
+    bright, dark = network_counts(ScenarioConfig("c", kind, 1, H))
+    fidelity = coherent_fidelity(TeleporterSpec(kind, 1, H))
+    identity = fidelity * (4 * bright - 2 * dark) - 4 * (bright - dark)
+    assert sp.cancel(sp.together(reduce(identity))) == 0

@@ -114,6 +114,19 @@ def test_package_squares_by_multiplying():
     assert powers == []
 
 
+def test_fock_oracle_reads_only_a_field_and_a_qubit():
+    # The oracle is the route that shares nothing with photon_flux but the
+    # field's coefficients, so it may take nothing else from the package.
+    tree = ast.parse((PACKAGE_DIR / "fock.py").read_text())
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mzteleport")):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names if alias.name.startswith("mzteleport")}
+    assert names == {"LinearField", "QubitInput"}
+
+
 class TestReadme:
     def test_python_example_prints_what_it_claims(self):
         # The README's one Python block: a locked dark port and unit visibility.
