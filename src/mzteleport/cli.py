@@ -17,6 +17,7 @@ from .teleporter import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
+    PUMP_GAIN_MAX,
     TeleporterSpec,
     H_to_squeezing,
     coherent_fidelity,
@@ -154,7 +155,7 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="squeezing fraction in [0, 1); defaults to 0 when --H is absent",
     )
-    group.add_argument("--H", type=float, default=None, help="squeezer pump gain, finite, >= 1")
+    group.add_argument("--H", type=float, default=None, help=f"pump gain, 1 to {PUMP_GAIN_MAX:g}")
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
@@ -185,8 +186,8 @@ def _resolve(
 ) -> Callable[[], Iterable[str]]:
     """Check the command's values; return the evaluation that renders them.
 
-    Every configuration is built at the first gain of its grid. The
-    library checks every physical range, so the command line accepts
+    Every configuration is built at both ends of its grid, which bound
+    every gain. The library checks every range, so the command line accepts
     exactly what the library accepts; a value it rejects is a usage error,
     as is a precision the formatter rejects, reported through ``parser``,
     the command's own. The evaluation completes every table before it
@@ -204,20 +205,23 @@ def _resolve(
                 args,
             )
         grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
-        gain = float(grid[0])
         if args.command == "classical-max":
-            config = ScenarioConfig("a", KIND_CLASSICAL, gain, 1.0)
-            return lambda: _render_line(
-                ("lambda_max", "visibility_max"), sweep_gain(config, grid).peak()[::3], args
-            )
-        if args.command == "figure":
-            curves = [(label, replace(config, gain=gain)) for label, config in FIGURES[args.name]]
+            curves = [(None, ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0))]
+        elif args.command == "figure":
+            curves = FIGURES[args.name]
         else:
             eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
             source = _SOURCE_BY_FLAG[args.source]
-            curves = [(None, ScenarioConfig(args.scenario, source, gain, _pump_gain(args), eta))]
+            curves = [(None, ScenarioConfig(args.scenario, source, 0.0, _pump_gain(args), eta))]
+        for _, config in curves:
+            for end in (grid[0], grid[-1]):
+                replace(config, gain=float(end))
     except ValueError as exc:
         parser.error(str(exc))
+    if args.command == "classical-max":
+        return lambda: _render_line(
+            ("lambda_max", "visibility_max"), sweep_gain(curves[0][1], grid).peak()[::3], args
+        )
     return lambda: _render_tables(
         [(label, sweep_gain(config, grid)) for label, config in curves], args
     )

@@ -9,8 +9,7 @@ labels, and the two signal modes are found by theirs.
 
 The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
 check them once, on construction) and casts no number, so it runs on floats
-and on exact sympy expressions alike. The engine squares by multiplying, so a
-float overflow is an inf or nan value, which each route's finiteness check reports.
+and on exact sympy expressions alike. It squares by multiplying, never with ``**``.
 """
 
 from __future__ import annotations

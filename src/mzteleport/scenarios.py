@@ -90,8 +90,8 @@ class ScenarioConfig:
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
-            if self.eta != ETA_AUTO and not 0.0 <= self.eta <= 1.0:
-                raise ValueError(f"transmission must lie in [0, 1], got {self.eta!r}")
+            if self.eta != ETA_AUTO and (isinstance(self.eta, str) or not 0.0 <= self.eta <= 1.0):
+                raise ValueError(f"transmission must be 'auto' or lie in [0, 1], got {self.eta!r}")
         elif self.eta is not None:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 
@@ -149,14 +149,10 @@ def evaluate_counts(config: ScenarioConfig) -> PortCounts:
     """Build the network and evaluate its photon counts.
 
     The counts do not depend on the input qubit, so the horizontal one
-    stands for every input. A count that overflows the float range raises
-    ``OverflowError`` naming the gain.
+    stands for every input. They are finite on the whole admitted domain.
     """
     outputs = build_scenario(config)
-    try:
-        return port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
-    except OverflowError as exc:
-        raise OverflowError(f"a photon count overflowed at gain {config.gain!r}") from exc
+    return port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
 
 
 def reference_counts(config: ScenarioConfig) -> PortCounts:
@@ -166,7 +162,7 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     with ``t_d`` = 1 bare, ``sqrt(eta)`` attenuated or ``gain`` teleported,
     and each teleporter adds ``n`` photons at each port (:func:`_port_noise`):
     ``count_a, count_b = (t_c +/- t_d)^2 / 4 + n_c + n_d``, for any input
-    qubit. An overflowing count raises ``OverflowError`` naming the gain.
+    qubit. Both are finite on the whole admitted domain.
     """
     gain = config.gain
     noise_c = _port_noise(config.source, gain, config.H)
@@ -176,11 +172,8 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     elif config.layout == "c":
         arm_d, noise_d = gain, noise_c
     bright, dark, noise = gain + arm_d, gain - arm_d, noise_c + noise_d
-    # Halved factors keep 0.25*x*x's overflow threshold; exact arithmetic sees it >= 0.
     count_a = (0.5 * bright) * (0.5 * bright) + noise
     count_b = (0.5 * dark) * (0.5 * dark) + noise
-    if not (math.isfinite(count_a) and math.isfinite(count_b)):
-        raise OverflowError(f"a photon count overflowed at gain {config.gain!r}")
     return PortCounts(count_a, count_b)
 
 
@@ -245,9 +238,8 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
 
     ``config.gain`` is replaced row by row; an ``eta = "auto"`` setting is
     re-optimized at every gain. A row whose ports are both exactly dark
-    (possible only at gain 0 with no squeezing) records NaN visibility.
-    A count that overflows the float range raises ``OverflowError``
-    naming the gain of its row.
+    (possible only at gain 0 with no squeezing) records NaN visibility;
+    every other row is finite, since each gain is checked as admitted.
     """
     gains = _gain_column(gain_grid)
     count_a, count_b = np.empty((2, len(gains)))
@@ -255,8 +247,7 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
         counts = evaluate_counts(replace(config, gain=gain))
         count_a[k] = counts.count_a
         count_b[k] = counts.count_b
-    # A dark row is 0/0, NaN; a total past the float range is inf, visibility 0.
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):  # a dark row is 0/0, NaN
         fringes = (count_a - count_b) / (count_a + count_b)
     return SweepTable(gains, count_a, count_b, fringes)
 

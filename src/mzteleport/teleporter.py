@@ -29,6 +29,8 @@ __all__ = [
     "KIND_SINGLE_SQUEEZER",
     "KIND_CLASSICAL",
     "KINDS",
+    "GAIN_MAX",
+    "PUMP_GAIN_MAX",
     "TeleporterSpec",
     "check_pump_gain",
     "check_channel",
@@ -47,23 +49,26 @@ KIND_SINGLE_SQUEEZER = "single-squeezer"
 KIND_CLASSICAL = "classical"
 KINDS = (KIND_TWO_MODE, KIND_SINGLE_SQUEEZER, KIND_CLASSICAL)
 
+# The admitted domain's bounds: within them no count of any route passes about 2e300.
+GAIN_MAX = PUMP_GAIN_MAX = 1e100
+
 
 def check_pump_gain(H: float) -> None:
-    """Reject a squeezer pump gain that is not a finite number ``>= 1``."""
-    if not 1.0 <= H < math.inf:
-        raise ValueError(f"pump gain must be finite and >= 1, got {H!r}")
+    """Reject a squeezer pump gain outside ``[1, PUMP_GAIN_MAX]``."""
+    if not 1.0 <= H <= PUMP_GAIN_MAX:
+        raise ValueError(f"pump gain must be >= 1 and <= {PUMP_GAIN_MAX!r}, got {H!r}")
 
 
 def check_channel(kind: str, gain: float, H: float) -> None:
-    """Reject a channel operating point outside the physical ranges.
+    """Reject a channel operating point outside the admitted domain.
 
-    ``kind`` must be one of :data:`KINDS`, ``gain`` a finite number
-    ``>= 0`` and ``H`` a valid pump gain, exactly 1 for the classical kind.
+    ``kind`` must be one of :data:`KINDS`, ``gain`` in ``[0, GAIN_MAX]``
+    and ``H`` a valid pump gain, exactly 1 for the classical kind.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {KINDS}")
-    if not 0.0 <= gain < math.inf:
-        raise ValueError(f"feedforward gain must be finite and >= 0, got {gain!r}")
+    if not 0.0 <= gain <= GAIN_MAX:
+        raise ValueError(f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}, got {gain!r}")
     check_pump_gain(H)
     if kind == KIND_CLASSICAL and H != 1.0:
         raise ValueError(

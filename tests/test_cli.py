@@ -26,8 +26,12 @@ from mzteleport import (
 )
 from mzteleport.cli import FIGURES, main
 from mzteleport.scenarios import MAX_GRID_STEPS
+from mzteleport.teleporter import GAIN_MAX, PUMP_GAIN_MAX
 
 SWEEP_HEADER = "lambda,count_a,count_b,visibility"
+# The first float above each bound of the admitted domain, as typed.
+PAST_GAIN_MAX = repr(math.nextafter(GAIN_MAX, math.inf))
+PAST_PUMP_GAIN_MAX = repr(math.nextafter(PUMP_GAIN_MAX, math.inf))
 
 
 def run_cli(capsys, argv):
@@ -110,13 +114,40 @@ class TestSweepCommand:
         assert content.splitlines()[0] == SWEEP_HEADER
         assert len(content.splitlines()) == 4
 
-    def test_evaluation_failure_writes_nothing(self, capsys, tmp_path):
-        path = tmp_path / "table.csv"
-        argv = ["sweep", "--gain-max", "1e200", "--steps", "2", "--out", str(path)]
-        code, out, err = run_cli(capsys, argv)
+    def test_evaluation_failure_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # The second of fig3's four curves fails after the first completed:
+        # every table completes before any text, so nothing is written.
+        calls = []
+
+        def failing_sweep(config, grid):
+            calls.append(config)
+            if len(calls) == 2:
+                raise RuntimeError("evaluation failed")
+            return sweep_gain(config, grid)
+
+        monkeypatch.setattr(cli, "sweep_gain", failing_sweep)
+        path = tmp_path / "fig3.csv"
+        code, out, err = run_cli(capsys, ["figure", "fig3", "--steps", "3", "--out", str(path)])
         assert code == 1
         assert out == ""
-        assert err == "mzteleport: error: a photon count overflowed at gain 1e+200\n"
+        assert err == "mzteleport: error: evaluation failed\n"
+        assert not path.exists()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "lock-curve", "figure", "classical-max"])
+    def test_gain_past_the_grid_end_writes_nothing(self, capsys, tmp_path, command):
+        # Only the last gain leaves the admitted domain: the configuration
+        # built at the grid's last gain rejects it before any evaluation.
+        path = tmp_path / "table.csv"
+        argv = [command, "--gain-max", PAST_GAIN_MAX, "--steps", "2", "--out", str(path)]
+        if command == "figure":
+            argv.insert(1, "fig5")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be >= 0 and <= {GAIN_MAX!r}" in captured.err
         assert not path.exists()
 
     def test_output_is_written_in_blocks(self, capsys, monkeypatch):
@@ -353,6 +384,12 @@ class TestUsageErrors:
             ["sweep", "--precision", "0"],
             ["fidelity", "--H", "nan"],
             ["classical-max", "--gain-min", "-1e-9"],
+            # Just past the admitted domain, and well past it.
+            ["sweep", "--gain-max", PAST_GAIN_MAX, "--steps", "2"],
+            ["sweep", "--H", PAST_PUMP_GAIN_MAX],
+            ["fidelity", "--H", PAST_PUMP_GAIN_MAX],
+            ["sweep", "--gain-max", "1e200", "--steps", "2"],
+            ["sweep", "--H", "1e101"],
         ],
     )
     def test_library_rejection_prints_the_command_usage(self, capsys, argv):
@@ -395,7 +432,8 @@ class TestUsageErrors:
                 H = squeezing_to_H(pump[1]) if pump[0] == "--squeezing" else pump[1]
             if scenario == "b" and eta is None:
                 eta = ETA_AUTO
-            ScenarioConfig(scenario, kind[source], float(grid[0]), H, eta)
+            for end in (grid[0], grid[-1]):
+                ScenarioConfig(scenario, kind[source], float(end), H, eta)
             rejected = False
         except ValueError:
             rejected = True

@@ -246,20 +246,25 @@ class TestOracleFlux:
         assert abs(oracle_flux(field, state, 3) - uniform) <= 1e-12 * scale
 
     @pytest.mark.parametrize(
-        "config",
+        "terms",
         [
-            # An overflowed coefficient meets a zero amplitude: nan.
-            ScenarioConfig("a", KIND_TWO_MODE, 1e308, 4.0),
+            # An overflowed coefficient meets the zero vertical amplitude: nan.
+            {1: (math.inf, 0.0), 2: (0.0, 1.0)},
             # Finite coefficients whose squares overflow: inf.
-            ScenarioConfig("c", KIND_CLASSICAL, 1e200, 1.0),
+            {0: (1e200, 0.0), 2: (0.0, 1e200)},
         ],
+        ids=["nan", "inf"],
     )
-    def test_overflow_raises(self, config):
-        # As port_count does, and without a numpy warning (the suite
-        # turns those into errors).
-        for field in build_scenario(config).all_fields:
-            with pytest.raises(OverflowError, match="overflowed"):
-                oracle_flux(field, QubitInput(0.6, 0.8))
+    def test_overflow_raises(self, terms):
+        # No network in the admitted domain overflows, but the oracle takes
+        # any field. It reports an overflow as port_count does, and without
+        # a numpy warning (the suite turns those into errors).
+        reg = ModeRegistry()
+        for label in ("a_h", "a_v", "m"):
+            reg.fresh_mode(label)
+        field = field_from_terms(reg, {reg.mode(index): pair for index, pair in terms.items()})
+        with pytest.raises(OverflowError, match="overflowed"):
+            oracle_flux(field, QubitInput(1.0, 0.0))
 
     def test_sixteen_modes_fit(self, rng):
         # 14 vacuum modes beside both signal modes, where a uniform cutoff

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_canonical_field
 from mzteleport.modes import (
@@ -232,3 +234,25 @@ class TestQuadratureVariances:
         m = reg.fresh_mode("m")
         empty = combine(1.0, annihilator_field(m), -1.0, annihilator_field(m))
         assert quadrature_variances(empty) == (0.0, 0.0)
+
+    # X and P trade places under a = i a': iu + conj(iv) = i(u - conj v).
+    # Every channel's coefficients are real, so only complex ones see a
+    # dropped conjugate here.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_phase_i_swaps_the_quadratures(self, coefficients):
+        reg = fresh_registry()
+        modes = [reg.fresh_mode(f"m{index}") for index in range(len(coefficients))]
+        field = field_from_terms(reg, dict(zip(modes, coefficients)))
+        v_x, v_p = quadrature_variances(field)
+        rotated = quadrature_variances(combine(1j, field, 0.0, field))
+        assert rotated == pytest.approx((v_p, v_x), rel=1e-12)

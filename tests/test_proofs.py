@@ -81,10 +81,15 @@ PAIRS = [(layout, kind) for layout in LAYOUTS for kind in KINDS]
 
 @pytest.fixture(autouse=True)
 def exact_math(monkeypatch):
-    """Run the engine's ``math`` calls in sympy: ``sqrt`` exact, ``inf`` as ``oo``."""
-    exact = types.SimpleNamespace(sqrt=sp.sqrt, inf=sp.oo, isfinite=lambda value: value.is_finite)
+    """Run the engine's ``math.sqrt`` in sympy, and bound the domain by ``oo``.
+
+    A float bound cannot be compared with a symbolic gain, so the admitted
+    domain's bounds become ``oo``, which every nonnegative symbol lies below.
+    """
     for module in (modes, teleporter, scenarios):
-        monkeypatch.setattr(module, "math", exact)
+        monkeypatch.setattr(module, "math", types.SimpleNamespace(sqrt=sp.sqrt))
+    for bound in ("GAIN_MAX", "PUMP_GAIN_MAX"):
+        monkeypatch.setattr(teleporter, bound, sp.oo)
 
 
 def pump_gain(kind: str) -> sp.Expr:

@@ -114,6 +114,20 @@ def test_package_squares_by_multiplying():
     assert powers == []
 
 
+def test_scenarios_have_no_overflow_path():
+    # The admitted domain keeps every count and total finite, so scenarios.py
+    # neither raises nor catches OverflowError, and no errstate(over=...)
+    # hides a numpy overflow. A batched sweep must not bring them back.
+    tree = ast.parse((PACKAGE_DIR / "scenarios.py").read_text())
+    paths = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "OverflowError")
+        or (isinstance(node, ast.keyword) and node.arg == "over")
+    ]
+    assert paths == []
+
+
 def test_fock_oracle_reads_only_a_field_and_a_qubit():
     # The oracle is the route that shares nothing with photon_flux but the
     # field's coefficients, so it may take nothing else from the package.
