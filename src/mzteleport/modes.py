@@ -1,11 +1,13 @@
-"""Labeled bosonic modes and the linear ladder-operator algebra.
+"""Bosonic input modes and the linear ladder-operator algebra.
 
 A field is a finite sum ``sum_k (u_k a_k + v_k a_k^dag)`` over registered
 modes, with complex coefficients. Every optical element used by the
 interferometer networks (beamsplitters, squeezers, attenuators,
 teleporters) maps such fields to such fields, so an entire network
-evaluates to one closed-form field per output port. Modes carry unique
-labels, and the two signal modes are found by theirs.
+evaluates to one closed-form field per output port. A registry holds the
+two signal modes from the start; an element that needs vacuum inputs
+draws fresh ones from its input field's registry, so no two elements
+can share one.
 
 The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
 check them once, on construction) and casts no number, so it runs on floats
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping
 
 __all__ = [
-    "SIGNAL_LABELS",
     "ModeId",
     "ModeRegistry",
     "LinearField",
@@ -36,53 +37,39 @@ __all__ = [
 
 _ZERO_TERM = (0j, 0j)
 
-# Labels of the (horizontal, vertical) signal modes, where the photon
-# state lives; every other mode enters in vacuum.
-SIGNAL_LABELS = ("a_h", "a_v")
-
 
 @dataclass(frozen=True)
 class ModeId:
     """Handle for one registered bosonic input mode."""
 
     index: int
-    label: str
     registry: "ModeRegistry" = dataclass_field(repr=False, compare=False)
 
 
 class ModeRegistry:
-    """Allocates the input modes of one network, each under a unique label.
+    """Allocates the input modes of one network.
 
-    It is the only mutable object in this module; mode handles and fields
-    are immutable values. Giving each element input modes that no other
-    element uses is the caller's contract, and nothing here records it: a
-    shared ancilla shows up as network outputs that are not canonical and
-    mutually commuting under :func:`commutator`.
+    Modes 0 and 1 are the (horizontal, vertical) signal modes, where the
+    photon state lives, and exist from construction; every mode drawn
+    after them enters in vacuum. It is the only mutable object in this
+    module; mode handles and fields are immutable values.
     """
 
     def __init__(self) -> None:
-        self._modes: list[ModeId] = []
-        self._by_label: dict[str, ModeId] = {}
+        self._modes = [ModeId(0, self), ModeId(1, self)]
 
-    def fresh_mode(self, label: str) -> ModeId:
-        """Register a new mode under a label not yet in use."""
-        if label in self._by_label:
-            raise ValueError(f"mode label {label!r} already registered")
-        mode = ModeId(len(self._modes), label, self)
+    def fresh_mode(self) -> ModeId:
+        """Register a new vacuum mode."""
+        mode = ModeId(len(self._modes), self)
         self._modes.append(mode)
-        self._by_label[label] = mode
         return mode
 
     def mode(self, index: int) -> ModeId:
         return self._modes[index]
 
     def signal_pair(self) -> tuple[ModeId, ModeId]:
-        """The modes labelled :data:`SIGNAL_LABELS`; error if either is missing."""
-        label_h, label_v = SIGNAL_LABELS
-        try:
-            return self._by_label[label_h], self._by_label[label_v]
-        except KeyError as exc:
-            raise ValueError("registry has no signal mode pair") from exc
+        """The (horizontal, vertical) signal modes."""
+        return self._modes[0], self._modes[1]
 
 
 @dataclass(frozen=True)
@@ -172,13 +159,14 @@ def beamsplitter(
     return out_sum, out_diff
 
 
-def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, LinearField]:
-    """Entangled pair from two fresh ancillas at a finite pump gain ``H >= 1``.
+def two_mode_squeezer(registry: ModeRegistry, H: float) -> tuple[LinearField, LinearField]:
+    """Entangled pair at a finite pump gain ``H >= 1`` from two vacuum modes
+    ``(f1, f2)`` drawn fresh from ``registry``.
 
     Returns ``(sqrt(H) f1 + sqrt(H-1) f2^dag, sqrt(H) f2 + sqrt(H-1) f1^dag)``.
     ``H = 1`` is the identity (no entanglement). The caller checks ``H``.
     """
-    registry = f1.registry
+    f1, f2 = registry.fresh_mode(), registry.fresh_mode()
     cosh = math.sqrt(H)
     sinh = math.sqrt(H - 1.0)
     e1 = field_from_terms(registry, {f1: (cosh, 0.0), f2: (0.0, sinh)})
@@ -186,9 +174,11 @@ def two_mode_squeezer(f1: ModeId, f2: ModeId, H: float) -> tuple[LinearField, Li
     return e1, e2
 
 
-def attenuate(field_d: LinearField, eta: float, g: ModeId) -> LinearField:
-    """Beam attenuation ``sqrt(eta) D + sqrt(1 - eta) g`` with fresh vacuum ``g``,
-    for a transmission ``eta`` in [0, 1] that the caller has checked."""
+def attenuate(field_d: LinearField, eta: float) -> LinearField:
+    """Beam attenuation ``sqrt(eta) D + sqrt(1 - eta) g``, with ``g`` a vacuum mode
+    drawn fresh from D's registry, for a transmission ``eta`` in [0, 1] that the
+    caller has checked."""
+    g = field_d.registry.fresh_mode()
     return combine(math.sqrt(eta), field_d, math.sqrt(1.0 - eta), annihilator_field(g))
 
 

@@ -23,14 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .modes import (
-    SIGNAL_LABELS,
-    LinearField,
-    ModeRegistry,
-    annihilator_field,
-    attenuate,
-    beamsplitter,
-)
+from .modes import LinearField, ModeRegistry, annihilator_field, attenuate, beamsplitter
 from .photometry import HORIZONTAL, PortCounts, port_count
 from .teleporter import (
     KIND_SINGLE_SQUEEZER,
@@ -125,20 +118,18 @@ class ScenarioOutputs:
 def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
     """Construct the configured network on a fresh registry; return its output fields."""
     reg = ModeRegistry()
-    signal_h, signal_v = map(reg.fresh_mode, SIGNAL_LABELS)
-    vacuum_h, vacuum_v = map(reg.fresh_mode, ("b_h", "b_v"))
+    vacua = (reg.fresh_mode(), reg.fresh_mode())
     spec = config._spec
     eta = config.resolved_eta()
     outputs_a: list[LinearField] = []
     outputs_b: list[LinearField] = []
-    for pol, signal, vacuum in (("h", signal_h, vacuum_h), ("v", signal_v, vacuum_v)):
+    for signal, vacuum in zip(reg.signal_pair(), vacua):
         arm_c, arm_d = beamsplitter(annihilator_field(signal), annihilator_field(vacuum))
-        arm_c = _teleport_arm(arm_c, spec, reg, f"c{pol}")
+        arm_c = _teleport_arm(arm_c, spec)
         if config.layout == "b":
-            g = reg.fresh_mode(f"g_{pol}")
-            arm_d = attenuate(arm_d, eta, g)
+            arm_d = attenuate(arm_d, eta)
         elif config.layout == "c":
-            arm_d = _teleport_arm(arm_d, spec, reg, f"d{pol}")
+            arm_d = _teleport_arm(arm_d, spec)
         out_a, out_b = beamsplitter(arm_c, arm_d)
         outputs_a.append(out_a)
         outputs_b.append(out_b)
@@ -290,14 +281,11 @@ def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -
     return grid
 
 
-def _teleport_arm(
-    field: LinearField, spec: TeleporterSpec, registry: ModeRegistry, tag: str
-) -> LinearField:
-    f1 = registry.fresh_mode(f"f_{tag}_1")
-    f2 = registry.fresh_mode(f"f_{tag}_2")
+def _teleport_arm(field: LinearField, spec: TeleporterSpec) -> LinearField:
+    """The channel map that the spec's kind runs in a teleported arm."""
     if spec.kind == KIND_SINGLE_SQUEEZER:
-        return teleport_single_squeezer(field, spec, f1, f2)
-    return teleport_two_mode(field, spec, f1, f2)
+        return teleport_single_squeezer(field, spec)
+    return teleport_two_mode(field, spec)
 
 
 def _port_noise(source: str, gain: float, H: float) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .modes import (
     LinearField,
-    ModeId,
     ModeRegistry,
     beamsplitter,
     combine,
@@ -100,40 +99,34 @@ def noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
     return gain * root_h - root_h1, root_h - gain * root_h1
 
 
-def teleport_two_mode(
-    c: LinearField, spec: TeleporterSpec, f1: ModeId, f2: ModeId
-) -> LinearField:
+def teleport_two_mode(c: LinearField, spec: TeleporterSpec) -> LinearField:
     """Teleporter channel backed by a two-mode entangled pair.
 
     Output is ``gain*c + A f1^dag + B f2`` with ``(A, B)`` the noise
-    amplitudes and (f1, f2) the squeezer's vacuum ancillas. The classical
-    kind is the same map pinned at ``H = 1``. A pair no other element
-    uses is the caller's contract: a shared ancilla leaves the network's
-    outputs non-canonical.
+    amplitudes and (f1, f2) the squeezer's vacuum ancillas, drawn fresh
+    from c's registry. The classical kind is the same map pinned at ``H = 1``.
     """
     if spec.kind not in (KIND_TWO_MODE, KIND_CLASSICAL):
         raise ValueError(f"two-mode channel cannot run a {spec.kind!r} spec")
-    return combine(spec.gain, c, 1.0, _channel_noise(spec, f1, f2))
+    return combine(spec.gain, c, 1.0, _channel_noise(spec, c.registry))
 
 
-def teleport_single_squeezer(
-    c: LinearField, spec: TeleporterSpec, f1: ModeId, f2: ModeId
-) -> LinearField:
+def teleport_single_squeezer(c: LinearField, spec: TeleporterSpec) -> LinearField:
     """Teleporter channel whose resource is one squeezed beam split in half.
 
-    Output is ``gain*c + (A f1^dag + B f1 + gain f2^dag + f2)/sqrt(2)``;
-    the extra ``f2`` terms are the vacuum entering the splitting
-    beamsplitter, which is what degrades this channel relative to the
-    genuinely two-mode one. As for :func:`teleport_two_mode`, (f1, f2)
-    must be ancillas no other element uses.
+    Output is ``gain*c + (A f1^dag + B f1 + gain f2^dag + f2)/sqrt(2)``,
+    with (f1, f2) drawn fresh from c's registry; the extra ``f2`` terms are
+    the vacuum entering the splitting beamsplitter, which is what degrades
+    this channel relative to the genuinely two-mode one.
     """
     if spec.kind != KIND_SINGLE_SQUEEZER:
         raise ValueError(f"single-squeezer channel cannot run a {spec.kind!r} spec")
-    return combine(spec.gain, c, 1.0, _channel_noise(spec, f1, f2))
+    return combine(spec.gain, c, 1.0, _channel_noise(spec, c.registry))
 
 
-def _channel_noise(spec: TeleporterSpec, f1: ModeId, f2: ModeId) -> LinearField:
-    """The noise field the channel adds to ``gain*c``, on the ancillas' registry."""
+def _channel_noise(spec: TeleporterSpec, registry: ModeRegistry) -> LinearField:
+    """The noise field the channel adds to ``gain*c``, on a pair drawn fresh from ``registry``."""
+    f1, f2 = registry.fresh_mode(), registry.fresh_mode()
     creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     if spec.kind == KIND_SINGLE_SQUEEZER:
         half_root2 = math.sqrt(2) / 2
@@ -143,19 +136,18 @@ def _channel_noise(spec: TeleporterSpec, f1: ModeId, f2: ModeId) -> LinearField:
         }
     else:
         terms = {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)}
-    return field_from_terms(f1.registry, terms)
+    return field_from_terms(registry, terms)
 
 
-def teleport_composed(
-    c: LinearField, spec: TeleporterSpec, f1: ModeId, f2: ModeId
-) -> LinearField:
+def teleport_composed(c: LinearField, spec: TeleporterSpec) -> LinearField:
     """The two-mode channel built from its physical parts.
 
-    Entangle (f1, f2), mix ``c`` with one entangled beam on a 50:50
-    beamsplitter, read the amplitude quadrature of the difference output
-    and the phase quadrature of the sum output (carried as operator
-    identities, i.e. ideal homodyne), then displace the other entangled
-    beam by ``gain*sqrt(2)`` times the measured combination.
+    Entangle a fresh ancilla pair (:func:`two_mode_squeezer` on c's
+    registry), mix ``c`` with one entangled beam on a 50:50 beamsplitter,
+    read the amplitude quadrature of the difference output and the phase
+    quadrature of the sum output (carried as operator identities, i.e.
+    ideal homodyne), then displace the other entangled beam by
+    ``gain*sqrt(2)`` times the measured combination.
 
     Agrees with :func:`teleport_two_mode` on every coefficient magnitude
     and every downstream expectation value; the creation-side coefficient
@@ -163,7 +155,7 @@ def teleport_composed(
     """
     if spec.kind != KIND_TWO_MODE:
         raise ValueError(f"composed channel cannot run a {spec.kind!r} spec")
-    e1, e2 = two_mode_squeezer(f1, f2, spec.H)
+    e1, e2 = two_mode_squeezer(c.registry, spec.H)
     mix_sum, mix_diff = beamsplitter(c, e1)
     x_meas = combine(1.0, mix_diff, 1.0, dagger(mix_diff))
     p_meas = combine(-1j, mix_sum, 1j, dagger(mix_sum))
@@ -207,7 +199,5 @@ def coherent_fidelity(spec: TeleporterSpec) -> float:
     """
     if spec.gain != 1.0:
         raise ValueError("coherent fidelity is defined at unity gain only")
-    registry = ModeRegistry()
-    f1, f2 = map(registry.fresh_mode, ("ancilla_1", "ancilla_2"))
-    v_x, v_p = quadrature_variances(_channel_noise(spec, f1, f2))
+    v_x, v_p = quadrature_variances(_channel_noise(spec, ModeRegistry()))
     return 2.0 / math.sqrt((2.0 + v_x) * (2.0 + v_p))

@@ -18,8 +18,7 @@ def rng() -> np.random.Generator:
 def signal_modes() -> list[ModeId]:
     """The two signal modes plus six spare ancillas, on one fresh registry."""
     registry = ModeRegistry()
-    labels = ["a_h", "a_v", *(f"spare_{i}" for i in range(6))]
-    return [registry.fresh_mode(label) for label in labels]
+    return [*registry.signal_pair(), *(registry.fresh_mode() for _ in range(6))]
 
 
 @pytest.fixture

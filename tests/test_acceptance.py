@@ -101,11 +101,7 @@ def test_criterion_2_fock_oracle_equivalence():
             evaluations += 1
     rng = np.random.default_rng(1999)
     registry = ModeRegistry()
-    modes = [
-        registry.fresh_mode("a_h"),
-        registry.fresh_mode("a_v"),
-    ]
-    modes += [registry.fresh_mode(f"m{i}") for i in range(6)]
+    modes = [*registry.signal_pair(), *(registry.fresh_mode() for _ in range(6))]
     for _ in range(50):
         size = int(rng.integers(1, 7))
         chosen = [modes[i] for i in rng.choice(len(modes), size=size, replace=False)]
@@ -308,13 +304,11 @@ def test_criterion_12_composition_check():
                 ("direct", direct_reg, teleport_two_mode),
                 ("composed", composed_reg, teleport_composed),
             ):
-                c_mode = reg.fresh_mode("c")
-                f1 = reg.fresh_mode("f1")
-                f2 = reg.fresh_mode("f2")
-                fields[name] = (channel(annihilator_field(c_mode), spec, f1, f2), reg)
+                c_mode, _ = reg.signal_pair()
+                fields[name] = (channel(annihilator_field(c_mode), spec), reg)
             direct, direct_reg = fields["direct"]
             composed, composed_reg = fields["composed"]
-            for index in range(3):
+            for index in range(4):
                 du, dv = direct.coefficient(direct_reg.mode(index))
                 cu, cv = composed.coefficient(composed_reg.mode(index))
                 worst = max(worst, abs(abs(du) - abs(cu)), abs(abs(dv) - abs(cv)))

@@ -93,14 +93,13 @@ class TestLadderMatrix:
 
 class TestOperatorMatrix:
     def test_single_annihilator_embeds_ladder(self):
-        reg = ModeRegistry()
-        mode = reg.fresh_mode("m")
+        mode = ModeRegistry().fresh_mode()
         assert np.array_equal(operator_matrix(annihilator_field(mode), 3), ladder_matrix(3))
 
     def test_two_mode_mix_against_direct_tensor(self):
         reg = ModeRegistry()
-        m_a = reg.fresh_mode("m_a")
-        m_b = reg.fresh_mode("m_b")
+        m_a = reg.fresh_mode()
+        m_b = reg.fresh_mode()
         r = math.sqrt(0.5)
         mixed = combine(r, annihilator_field(m_a), r, annihilator_field(m_b))
         matrix = operator_matrix(mixed, 2)
@@ -119,7 +118,7 @@ class TestOperatorMatrix:
 
     def test_resource_guard(self):
         reg = ModeRegistry()
-        modes = [reg.fresh_mode(f"m{i}") for i in range(7)]
+        modes = [reg.fresh_mode() for _ in range(7)]
         wide = field_from_terms(reg, {m: (1.0, 0.0) for m in modes})
         with pytest.raises(ValueError, match="dense operator"):
             operator_matrix(wide, 3)
@@ -127,9 +126,7 @@ class TestOperatorMatrix:
 
 class TestOracleFlux:
     def test_bare_signal_mode(self):
-        reg = ModeRegistry()
-        sig_h = reg.fresh_mode("a_h")
-        reg.fresh_mode("a_v")
+        sig_h, _ = ModeRegistry().signal_pair()
         assert oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0)) == 1.0
 
     def test_dark_port_is_exactly_empty(self):
@@ -201,10 +198,8 @@ class TestOracleFlux:
     )
     def test_property_matches_formula(self, coefficients, order, theta, phi):
         reg = ModeRegistry()
-        reg.fresh_mode("a_h")
-        reg.fresh_mode("a_v")
-        for i in range(6):
-            reg.fresh_mode(f"m{i}")
+        for _ in range(6):
+            reg.fresh_mode()
         modes = [reg.mode(i) for i in order]
         field = field_from_terms(reg, dict(zip(modes, coefficients)))
         state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
@@ -234,10 +229,8 @@ class TestOracleFlux:
         # The support holds neither, one or both signal modes; a signal mode
         # outside it still carries the input photon.
         reg = ModeRegistry()
-        reg.fresh_mode("a_h")
-        reg.fresh_mode("a_v")
-        for i in range(4):
-            reg.fresh_mode(f"m{i}")
+        for _ in range(4):
+            reg.fresh_mode()
         chosen = (*signals, *spares)
         field = field_from_terms(reg, {reg.mode(i): coefficients[i] for i in chosen})
         state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
@@ -257,11 +250,10 @@ class TestOracleFlux:
     )
     def test_overflow_raises(self, terms):
         # No network in the admitted domain overflows, but the oracle takes
-        # any field. It reports an overflow as port_count does, and without
-        # a numpy warning (the suite turns those into errors).
+        # any field. It reports an overflow, and without a numpy warning
+        # (the suite turns those into errors).
         reg = ModeRegistry()
-        for label in ("a_h", "a_v", "m"):
-            reg.fresh_mode(label)
+        reg.fresh_mode()
         field = field_from_terms(reg, {reg.mode(index): pair for index, pair in terms.items()})
         with pytest.raises(OverflowError, match="overflowed"):
             oracle_flux(field, QubitInput(1.0, 0.0))
@@ -270,17 +262,14 @@ class TestOracleFlux:
         # 14 vacuum modes beside both signal modes, where a uniform cutoff
         # of 3 would need 4**16 cells.
         reg = ModeRegistry()
-        modes = [reg.fresh_mode("a_h"), reg.fresh_mode("a_v")]
-        modes += [reg.fresh_mode(f"m{i}") for i in range(14)]
+        modes = [*reg.signal_pair(), *(reg.fresh_mode() for _ in range(14))]
         field = random_canonical_field(reg, modes, rng)
         state = random_qubit(rng)
         scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
         assert abs(oracle_flux(field, state) - photon_flux(field, state)) <= 1e-10 * scale
 
     def test_cutoff_floor(self):
-        reg = ModeRegistry()
-        sig_h = reg.fresh_mode("a_h")
-        reg.fresh_mode("a_v")
+        sig_h, _ = ModeRegistry().signal_pair()
         with pytest.raises(ValueError, match=">= 3"):
             oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0), cutoff=2)
 
@@ -288,8 +277,7 @@ class TestOracleFlux:
         # Both signal modes and 19 vacuum modes: the image holds a few basis
         # states per term, where a state vector would need 3**2 * 2**19 cells.
         reg = ModeRegistry()
-        modes = [reg.fresh_mode("a_h"), reg.fresh_mode("a_v")]
-        modes += [reg.fresh_mode(f"m{i}") for i in range(19)]
+        modes = [*reg.signal_pair(), *(reg.fresh_mode() for _ in range(19))]
         field = random_canonical_field(reg, modes, rng)
         state = random_qubit(rng)
         scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())

@@ -32,29 +32,18 @@ def fresh_registry():
 class TestRegistry:
     def test_sequential_allocation(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
-        a_v = reg.fresh_mode("a_v")
+        a_h, a_v = reg.signal_pair()
         assert a_h.index == 0
         assert a_v.index == 1
         assert (reg.mode(0), reg.mode(1)) == (a_h, a_v)
-
-    def test_duplicate_label_rejected(self):
-        reg = fresh_registry()
-        reg.fresh_mode("a_h")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.fresh_mode("a_h")
-
-    def test_signal_pair_requires_both(self):
-        reg = fresh_registry()
-        reg.fresh_mode("a_h")
-        with pytest.raises(ValueError, match="signal"):
-            reg.signal_pair()
+        assert [reg.fresh_mode().index for _ in range(3)] == [2, 3, 4]
+        assert reg.signal_pair() == (a_h, a_v)
 
 
 class TestFieldBasics:
     def test_annihilator_field(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
+        a_h, _ = reg.signal_pair()
         field = annihilator_field(a_h)
         assert field.coefficient(a_h) == (1.0, 0.0)
         assert field.support() == (a_h,)
@@ -62,7 +51,7 @@ class TestFieldBasics:
 
     def test_dagger_swaps_and_conjugates(self):
         reg = fresh_registry()
-        m = reg.fresh_mode("m")
+        m = reg.fresh_mode()
         field = annihilator_field(m)
         assert dagger(field).coefficient(m) == (0.0, 1.0)
         scaled = combine(1j, field, 0.0, field)
@@ -70,8 +59,8 @@ class TestFieldBasics:
 
     def test_dagger_is_involution(self):
         reg = fresh_registry()
-        m1 = reg.fresh_mode("m1")
-        m2 = reg.fresh_mode("m2")
+        m1 = reg.fresh_mode()
+        m2 = reg.fresh_mode()
         field = field_from_terms(reg, {m1: (0.3 + 1j, -0.7), m2: (0.0, 2.5j)})
         assert dagger(dagger(field)) == field
 
@@ -87,29 +76,29 @@ class TestFieldBasics:
 class TestCombine:
     def test_additivity(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
+        a_h, _ = reg.signal_pair()
         field = annihilator_field(a_h)
         doubled = combine(1.0, field, 1.0, field)
         assert doubled.coefficient(a_h) == (2.0, 0.0)
 
     def test_cancellation_prunes(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
+        a_h, _ = reg.signal_pair()
         field = annihilator_field(a_h)
         zero = combine(1.0, field, -1.0, field)
         assert zero.terms == {}
 
     def test_balanced_mix_coefficients(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
-        b_h = reg.fresh_mode("b_h")
+        a_h, _ = reg.signal_pair()
+        b_h = reg.fresh_mode()
         mixed = combine(INV_SQRT2, annihilator_field(a_h), INV_SQRT2, annihilator_field(b_h))
         assert mixed.coefficient(a_h)[0] == pytest.approx(0.7071067811865476, abs=0)
         assert mixed.coefficient(b_h)[0] == pytest.approx(0.7071067811865476, abs=0)
 
     def test_registry_mismatch_rejected(self):
-        field_a = annihilator_field(fresh_registry().fresh_mode("m"))
-        field_b = annihilator_field(fresh_registry().fresh_mode("m"))
+        field_a = annihilator_field(fresh_registry().fresh_mode())
+        field_b = annihilator_field(fresh_registry().fresh_mode())
         with pytest.raises(ValueError, match="different registries"):
             combine(1.0, field_a, 1.0, field_b)
 
@@ -131,8 +120,7 @@ class TestCombine:
 class TestCommutator:
     def test_canonical_single_mode(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
-        a_v = reg.fresh_mode("a_v")
+        a_h, a_v = reg.signal_pair()
         assert commutator(annihilator_field(a_h), annihilator_field(a_h)) == 1.0
         assert commutator(annihilator_field(a_h), annihilator_field(a_v)) == 0.0
 
@@ -145,8 +133,8 @@ class TestCommutator:
 class TestBeamsplitter:
     def test_coefficients(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
-        b_h = reg.fresh_mode("b_h")
+        a_h, _ = reg.signal_pair()
+        b_h = reg.fresh_mode()
         out_sum, out_diff = beamsplitter(annihilator_field(a_h), annihilator_field(b_h))
         assert out_sum.coefficient(a_h)[0] == pytest.approx(INV_SQRT2, abs=0)
         assert out_sum.coefficient(b_h)[0] == pytest.approx(INV_SQRT2, abs=0)
@@ -155,8 +143,8 @@ class TestBeamsplitter:
 
     def test_outputs_commute(self):
         reg = fresh_registry()
-        a_h = reg.fresh_mode("a_h")
-        b_h = reg.fresh_mode("b_h")
+        a_h, _ = reg.signal_pair()
+        b_h = reg.fresh_mode()
         out_sum, out_diff = beamsplitter(annihilator_field(a_h), annihilator_field(b_h))
         assert commutator(out_sum, out_diff) == pytest.approx(0.0, abs=1e-15)
         assert commutator(out_sum, out_sum) == pytest.approx(1.0, abs=1e-15)
@@ -175,17 +163,15 @@ class TestBeamsplitter:
 class TestSqueezers:
     def test_two_mode_identity_at_unit_pump(self):
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1")
-        f2 = reg.fresh_mode("f2")
-        e1, e2 = two_mode_squeezer(f1, f2, 1.0)
+        e1, e2 = two_mode_squeezer(reg, 1.0)
+        f1, f2 = reg.mode(2), reg.mode(3)
         assert e1 == annihilator_field(f1)
         assert e2 == annihilator_field(f2)
 
     def test_two_mode_creation_coefficient(self):
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1")
-        f2 = reg.fresh_mode("f2")
-        e1, _ = two_mode_squeezer(f1, f2, 1.125)
+        e1, _ = two_mode_squeezer(reg, 1.125)
+        f2 = reg.mode(3)
         assert e1.coefficient(f2)[1] == pytest.approx(math.sqrt(0.125), abs=0)
         assert e1.coefficient(f2)[1] == pytest.approx(0.35355, abs=5e-6)
 
@@ -193,45 +179,41 @@ class TestSqueezers:
 class TestAttenuator:
     def test_lossless_is_identity(self):
         reg = fresh_registry()
-        d = annihilator_field(reg.fresh_mode("d"))
-        g = reg.fresh_mode("g")
-        assert attenuate(d, 1.0, g) == d
+        d = annihilator_field(reg.fresh_mode())
+        assert attenuate(d, 1.0) == d
 
     def test_full_block_is_vacuum(self):
         reg = fresh_registry()
-        d_mode = reg.fresh_mode("d")
-        g = reg.fresh_mode("g")
-        blocked = attenuate(annihilator_field(d_mode), 0.0, g)
-        assert blocked == annihilator_field(g)
+        blocked = attenuate(annihilator_field(reg.fresh_mode()), 0.0)
+        assert blocked == annihilator_field(reg.mode(3))
 
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_stays_canonical(self, eta, rng, signal_registry, signal_modes):
         modes = signal_modes[:4]
         field = random_canonical_field(signal_registry, modes, rng)
-        g = signal_registry.fresh_mode("g")
         assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
-        attenuated = attenuate(field, eta, g)
+        attenuated = attenuate(field, eta)
         assert commutator(attenuated, attenuated) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestQuadratureVariances:
     def test_vacuum(self):
         reg = fresh_registry()
-        field = annihilator_field(reg.fresh_mode("m"))
+        field = annihilator_field(reg.fresh_mode())
         assert quadrature_variances(field) == (1.0, 1.0)
 
     def test_classical_channel_noise(self):
         # f1^dag + f2: the added noise of the entanglement-free channel
         # at unity gain contributes one extra vacuum unit per quadrature.
         reg = fresh_registry()
-        f1 = reg.fresh_mode("f1")
-        f2 = reg.fresh_mode("f2")
+        f1 = reg.fresh_mode()
+        f2 = reg.fresh_mode()
         noise = combine(1.0, dagger(annihilator_field(f1)), 1.0, annihilator_field(f2))
         assert quadrature_variances(noise) == (2.0, 2.0)
 
     def test_empty_field(self):
         reg = fresh_registry()
-        m = reg.fresh_mode("m")
+        m = reg.fresh_mode()
         empty = combine(1.0, annihilator_field(m), -1.0, annihilator_field(m))
         assert quadrature_variances(empty) == (0.0, 0.0)
 
@@ -251,7 +233,7 @@ class TestQuadratureVariances:
     )
     def test_phase_i_swaps_the_quadratures(self, coefficients):
         reg = fresh_registry()
-        modes = [reg.fresh_mode(f"m{index}") for index in range(len(coefficients))]
+        modes = [reg.fresh_mode() for _ in coefficients]
         field = field_from_terms(reg, dict(zip(modes, coefficients)))
         v_x, v_p = quadrature_variances(field)
         rotated = quadrature_variances(combine(1j, field, 0.0, field))

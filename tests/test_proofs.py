@@ -139,27 +139,24 @@ def test_outputs_canonical_and_commuting(layout, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_teleported_annihilator_is_canonical(kind):
     # The channel build_scenario runs in a teleported arm, on a bare input.
-    registry = ModeRegistry()
-    signal = annihilator_field(registry.fresh_mode("c"))
+    signal = annihilator_field(ModeRegistry().fresh_mode())
     spec = TeleporterSpec(kind, GAIN, pump_gain(kind))
-    assert_canonical_and_commuting([_teleport_arm(signal, spec, registry, "c")])
+    assert_canonical_and_commuting([_teleport_arm(signal, spec)])
 
 
 def test_two_mode_squeezer_outputs_canonical_and_commuting():
-    registry = ModeRegistry()
-    f1, f2 = map(registry.fresh_mode, ("f1", "f2"))
-    assert_canonical_and_commuting(two_mode_squeezer(f1, f2, 1 + K))
+    assert_canonical_and_commuting(two_mode_squeezer(ModeRegistry(), 1 + K))
 
 
 def test_attenuator_keeps_a_canonical_field_canonical():
     # [A, A^dag] = eta [D, D^dag] + 1 - eta for a general two-mode D, so a
     # canonical D stays canonical at every transmission in (0, 1).
     registry = ModeRegistry()
-    d1, d2, g = map(registry.fresh_mode, ("d1", "d2", "g"))
+    d1, d2 = registry.fresh_mode(), registry.fresh_mode()
     u1, v1, u2, v2 = sp.symbols("u1 v1 u2 v2")
     field_d = field_from_terms(registry, {d1: (u1, v1), d2: (u2, v2)})
     eta = T**2 / (1 + T**2)
-    attenuated = attenuate(field_d, eta, g)
+    attenuated = attenuate(field_d, eta)
     law = eta * commutator(field_d, field_d) + 1 - eta
     assert sp.expand(commutator(attenuated, attenuated) - law) == 0
 
@@ -193,15 +190,15 @@ def test_composed_teleporter_is_direct_map_up_to_ancilla_phase():
     # Homodyne detection and feed-forward give the direct two-mode map,
     # except that f1's creation coefficient changes sign: the relabelling
     # f1 -> -f1 of a private ancilla, which no count sees.
-    registry = ModeRegistry()
-    signal, _ = map(registry.fresh_mode, ("a_h", "a_v"))
-    f1, f2 = map(registry.fresh_mode, ("f1", "f2"))
+    # On its own registry, each call draws the ancilla pair (f1, f2) at indices 2 and 3.
     spec = TeleporterSpec(KIND_TWO_MODE, GAIN, 1 + K)
-    composed = teleport_composed(annihilator_field(signal), spec, f1, f2).terms
-    direct = teleport_two_mode(annihilator_field(signal), spec, f1, f2).terms
+    composed, direct = (
+        channel(annihilator_field(ModeRegistry().signal_pair()[0]), spec).terms
+        for channel in (teleport_composed, teleport_two_mode)
+    )
     assert composed.keys() == direct.keys()
     for index, (u, v) in direct.items():
-        sign = -1 if index == f1.index else 1
+        sign = -1 if index == 2 else 1
         assert sp.expand(composed[index][0] - u) == 0
         assert sp.expand(composed[index][1] - sign * v) == 0
 

@@ -181,13 +181,12 @@ class TestNetworkAgainstClosedForms:
 class TestNetworkStructure:
     def test_lossless_attenuator_reduces_to_layout_a(self):
         # eta = 1 makes layout b's fields coincide with layout a's,
-        # coefficient by coefficient (modes matched by label).
+        # coefficient by coefficient in index order (the attenuator's
+        # vacuum mode drops out; it shifts only later indices).
         plain = build_scenario(ScenarioConfig("a", KIND_TWO_MODE, 0.8, 1.125))
         balanced = build_scenario(ScenarioConfig("b", KIND_TWO_MODE, 0.8, 1.125, 1.0))
         for field_a, field_b in zip(plain.all_fields, balanced.all_fields):
-            by_label_a = {m.label: field_a.coefficient(m) for m in field_a.support()}
-            by_label_b = {m.label: field_b.coefficient(m) for m in field_b.support()}
-            assert by_label_a == by_label_b
+            assert list(field_a.terms.values()) == list(field_b.terms.values())
 
     def test_dual_teleporter_cancels_signal_at_dark_port(self):
         outputs = build_scenario(ScenarioConfig("c", KIND_TWO_MODE, 0.8, 1.125))
@@ -196,8 +195,8 @@ class TestNetworkStructure:
             assert field.coefficient(signal_h) == (0.0, 0.0)
             assert field.coefficient(signal_v) == (0.0, 0.0)
 
-    # The physics that guards against an ancilla shared between elements:
-    # such a network's outputs are not canonical, or do not commute.
+    # Elements draw their own ancillas, so none is shared; this physics
+    # check stays: a shared one leaves outputs not canonical or not commuting.
     @settings(max_examples=200, deadline=None)
     @given(config=scenario_configs())
     def test_outputs_canonical_and_commuting_any_config(self, config):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import re
 import shlex
 from contextlib import redirect_stdout
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mzteleport
-from mzteleport import HORIZONTAL, ScenarioConfig, build_scenario, cli, fock
+from mzteleport import HORIZONTAL, ScenarioConfig, build_scenario, cli, fock, modes, teleporter
 
 # The README example, the sweeps, the channel parameters and the
 # independent verification routes; everything else lives in a submodule.
@@ -126,6 +127,28 @@ def test_scenarios_have_no_overflow_path():
         or (isinstance(node, ast.keyword) and node.arg == "over")
     ]
     assert paths == []
+
+
+def test_elements_take_no_modes():
+    # Each element draws its vacuum inputs from its input's registry, so no
+    # two elements can share an ancilla. An element that took a mode would
+    # hand that guarantee back to its callers.
+    assert list(inspect.signature(modes.ModeRegistry.fresh_mode).parameters) == ["self"]
+    elements = (
+        modes.beamsplitter,
+        modes.two_mode_squeezer,
+        modes.attenuate,
+        teleporter.teleport_two_mode,
+        teleporter.teleport_single_squeezer,
+        teleporter.teleport_composed,
+    )
+    mode_parameters = [
+        f"{element.__name__}({name})"
+        for element in elements
+        for name, parameter in inspect.signature(element).parameters.items()
+        if parameter.annotation is inspect.Parameter.empty or "ModeId" in parameter.annotation
+    ]
+    assert mode_parameters == []
 
 
 def test_fock_oracle_reads_only_a_field_and_a_qubit():

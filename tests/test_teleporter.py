@@ -22,8 +22,11 @@ from mzteleport import (
 from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
+    attenuate,
     combine,
+    field_from_terms,
     quadrature_variances,
+    two_mode_squeezer,
 )
 from mzteleport.teleporter import (
     GAIN_MAX,
@@ -38,13 +41,14 @@ PAST_GAIN_MAX = math.nextafter(GAIN_MAX, math.inf)
 PAST_PUMP_GAIN_MAX = math.nextafter(PUMP_GAIN_MAX, math.inf)
 
 
-def channel_fixture():
-    """One input field and one fresh ancilla pair on a new registry."""
-    reg = ModeRegistry()
-    c = annihilator_field(reg.fresh_mode("c"))
-    f1 = reg.fresh_mode("f1")
-    f2 = reg.fresh_mode("f2")
-    return c, f1, f2
+def channel_input():
+    """The horizontal signal mode of a new registry, as a channel's input field."""
+    return annihilator_field(ModeRegistry().signal_pair()[0])
+
+
+def drawn_pair(c):
+    """The ancilla pair the first channel call on :func:`channel_input` draws."""
+    return c.registry.mode(2), c.registry.mode(3)
 
 
 class TestSpec:
@@ -82,38 +86,54 @@ class TestSpec:
                     TeleporterSpec(kind, 1.0, H)
 
     def test_kind_routing_enforced(self):
-        c, f1, f2 = channel_fixture()
+        c = channel_input()
         single = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, 2.0)
         with pytest.raises(ValueError, match="two-mode channel"):
-            teleport_two_mode(c, single, f1, f2)
+            teleport_two_mode(c, single)
         two_mode = TeleporterSpec(KIND_TWO_MODE, 1.0, 2.0)
         with pytest.raises(ValueError, match="single-squeezer channel"):
-            teleport_single_squeezer(c, two_mode, f1, f2)
+            teleport_single_squeezer(c, two_mode)
         classical = TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)
         with pytest.raises(ValueError, match="composed channel"):
-            teleport_composed(c, classical, f1, f2)
+            teleport_composed(c, classical)
 
-    @pytest.mark.parametrize(
-        "teleport, kind, H",
-        [
-            (teleport_two_mode, KIND_TWO_MODE, 2.0),
-            (teleport_two_mode, KIND_CLASSICAL, 1.0),
-            (teleport_single_squeezer, KIND_SINGLE_SQUEEZER, 2.0),
-        ],
-    )
-    def test_foreign_ancillas_rejected(self, teleport, kind, H):
-        # Ancillas of another network must not land on this network's modes.
-        c, _, _ = channel_fixture()
-        _, f1, f2 = channel_fixture()
-        with pytest.raises(ValueError, match="different registries"):
-            teleport(c, TeleporterSpec(kind, 0.5, H), f1, f2)
+
+# Each element and the number of vacuum modes it draws from its input's registry.
+TWO_MODE_SPEC = TeleporterSpec(KIND_TWO_MODE, 0.5, 2.0)
+SINGLE_SPEC = TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.5, 2.0)
+DRAWING_ELEMENTS = {
+    "attenuate": (lambda c: [attenuate(c, 0.5)], 1),
+    "two_mode_squeezer": (lambda c: two_mode_squeezer(c.registry, 2.0), 2),
+    "teleport_two_mode": (lambda c: [teleport_two_mode(c, TWO_MODE_SPEC)], 2),
+    "teleport_single_squeezer": (lambda c: [teleport_single_squeezer(c, SINGLE_SPEC)], 2),
+    "teleport_composed": (lambda c: [teleport_composed(c, TWO_MODE_SPEC)], 2),
+}
+
+
+@pytest.mark.parametrize("name", DRAWING_ELEMENTS)
+def test_element_draws_exactly_its_own_modes(name):
+    # The input sits on a signal mode and one vacuum mode; a probe mode drawn
+    # before the call stands for another element's ancilla, which the
+    # element's output must not touch.
+    element, drawn = DRAWING_ELEMENTS[name]
+    reg = ModeRegistry()
+    a_h, _ = reg.signal_pair()
+    c = field_from_terms(reg, {a_h: (0.8, 0.0), reg.fresh_mode(): (0.6, 0.0)})
+    probe = reg.fresh_mode().index
+    outputs = element(c)
+    new = set(range(probe + 1, reg.fresh_mode().index))
+    assert len(new) == drawn
+    support = set().union(*(out.terms.keys() for out in outputs))
+    input_support = set() if name == "two_mode_squeezer" else c.terms.keys()
+    assert support == input_support | new
 
 
 class TestTwoModeChannel:
     def test_unity_gain_no_entanglement(self):
-        c, f1, f2 = channel_fixture()
+        c = channel_input()
         spec = TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)
-        out = teleport_two_mode(c, spec, f1, f2)
+        out = teleport_two_mode(c, spec)
+        f1, f2 = drawn_pair(c)
         assert out.coefficient(c.support()[0]) == (1.0, 0.0)
         assert out.coefficient(f1) == (0.0, 1.0)
         assert out.coefficient(f2) == (1.0, 0.0)
@@ -122,20 +142,19 @@ class TestTwoModeChannel:
         # At the optimal gain the creation-side amplitude vanishes and the
         # channel is an attenuator of transmission gain^2 on a relabeled
         # vacuum mode.
-        c, f1, f2 = channel_fixture()
+        c = channel_input()
         gain = optimal_gain(1.125)
         assert gain == 1 / 3
-        out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, gain, 1.125), f1, f2)
+        out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, gain, 1.125))
+        f1, f2 = drawn_pair(c)
         assert abs(out.coefficient(f1)[1]) <= 1e-15
         assert out.coefficient(f2)[0] == pytest.approx(
             math.sqrt(1.0 - gain * gain), abs=1e-15
         )
 
     def test_classical_kind_equals_two_mode_at_unit_pump(self):
-        c1, f1a, f2a = channel_fixture()
-        c2, f1b, f2b = channel_fixture()
-        classical = teleport_two_mode(c1, TeleporterSpec(KIND_CLASSICAL, 0.7, 1.0), f1a, f2a)
-        two_mode = teleport_two_mode(c2, TeleporterSpec(KIND_TWO_MODE, 0.7, 1.0), f1b, f2b)
+        classical = teleport_two_mode(channel_input(), TeleporterSpec(KIND_CLASSICAL, 0.7, 1.0))
+        two_mode = teleport_two_mode(channel_input(), TeleporterSpec(KIND_TWO_MODE, 0.7, 1.0))
         assert classical.terms == two_mode.terms
 
     def test_strong_squeezing_noise_shrinks(self):
@@ -143,8 +162,9 @@ class TestTwoModeChannel:
         # so the total weight is bounded by 1/sqrt(H-1) and ~ 1/sqrt(H).
         weights = []
         for H in (10.0, 100.0, 1e4):
-            c, f1, f2 = channel_fixture()
-            out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, 1.0, H), f1, f2)
+            c = channel_input()
+            out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, 1.0, H))
+            f1, f2 = drawn_pair(c)
             weight = abs(out.coefficient(f1)[1]) + abs(out.coefficient(f2)[0])
             assert weight <= 1.0 / math.sqrt(H - 1.0)
             weights.append(weight)
@@ -153,9 +173,10 @@ class TestTwoModeChannel:
 
 class TestSingleSqueezerChannel:
     def test_zero_gain_form(self):
-        c, f1, f2 = channel_fixture()
+        c = channel_input()
         H = 2.0
-        out = teleport_single_squeezer(c, TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.0, H), f1, f2)
+        out = teleport_single_squeezer(c, TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.0, H))
+        f1, f2 = drawn_pair(c)
         r = math.sqrt(0.5)
         assert out.coefficient(c.support()[0]) == (0.0, 0.0)
         u1, v1 = out.coefficient(f1)
@@ -166,9 +187,9 @@ class TestSingleSqueezerChannel:
     def test_unity_gain_noise_is_single_quadrature(self):
         # With 87.5% squeezing all added noise sits in one quadrature:
         # variances (2.25, 0).
-        c, f1, f2 = channel_fixture()
+        c = channel_input()
         spec = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, squeezing_to_H(0.875))
-        out = teleport_single_squeezer(c, spec, f1, f2)
+        out = teleport_single_squeezer(c, spec)
         noise = combine(1.0, out, -1.0, c)
         v_x, v_p = quadrature_variances(noise)
         assert v_x == pytest.approx(2.25, abs=1e-12)
@@ -177,15 +198,16 @@ class TestSingleSqueezerChannel:
 
 class TestComposedChannel:
     def test_strong_squeezing_limit(self):
-        c, f1, f2 = channel_fixture()
-        out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1e4), f1, f2)
+        c = channel_input()
+        out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1e4))
+        f1, f2 = drawn_pair(c)
         assert abs(out.coefficient(c.support()[0])[0]) == pytest.approx(1.0, abs=1e-12)
         creation_weight = abs(out.coefficient(f1)[1]) + abs(out.coefficient(f2)[1])
         assert creation_weight <= 0.006
 
     def test_no_entanglement_noise_variances(self):
-        c, f1, f2 = channel_fixture()
-        out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1.0), f1, f2)
+        c = channel_input()
+        out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1.0))
         noise = combine(1.0, out, -1.0, c)
         v_x, v_p = quadrature_variances(noise)
         assert v_x == pytest.approx(2.0, abs=1e-12)
