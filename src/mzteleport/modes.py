@@ -1,13 +1,14 @@
 """Bosonic input modes and the linear ladder-operator algebra.
 
 A field is a finite sum ``sum_k (u_k a_k + v_k a_k^dag)`` over registered
-modes, with complex coefficients. Every optical element used by the
-interferometer networks (beamsplitters, squeezers, attenuators,
-teleporters) maps such fields to such fields, so an entire network
-evaluates to one closed-form field per output port. A registry holds the
-two signal modes from the start; an element that needs vacuum inputs
-draws fresh ones from its input field's registry, so no two elements
-can share one.
+modes, with complex coefficients. It keeps every term its elements write:
+where a term cancels (layout c's dark-port signal) or is scaled by zero (an
+attenuator's vacuum at ``eta = 1``) it holds ``(0, 0)``. Every optical element
+used by the interferometer networks (beamsplitters, squeezers, attenuators,
+teleporters) maps such fields to such fields, so an entire network evaluates
+to one closed-form field per output port. A registry holds the two signal
+modes from the start; an element that needs vacuum inputs draws fresh ones
+from its input field's registry, so no two elements can share one.
 
 The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
 check them once, on construction) and casts no number, so it runs on floats
@@ -76,9 +77,9 @@ class ModeRegistry:
 class LinearField:
     """``sum_k (u_k a_k + v_k a_k^dag)`` with sparse complex coefficients.
 
-    ``terms`` maps mode index to the pair ``(u, v)``; entries that are
-    exactly ``(0, 0)`` are never stored. Instances are immutable values --
-    all operations return new fields.
+    ``terms`` maps mode index to the pair ``(u, v)``, in index order; a term
+    that cancels, or that an element scales by zero, stays as ``(0, 0)``.
+    Instances are immutable values -- all operations return new fields.
     """
 
     registry: ModeRegistry
@@ -86,10 +87,12 @@ class LinearField:
 
     def coefficient(self, mode: ModeId) -> tuple[complex, complex]:
         """The (annihilator, creator) coefficient pair carried on ``mode``."""
+        if mode.registry is not self.registry:
+            raise ValueError("mode belongs to a different registry")
         return self.terms.get(mode.index, _ZERO_TERM)
 
     def support(self) -> tuple[ModeId, ...]:
-        """Modes with a nonzero coefficient, ordered by index."""
+        """The modes the field holds a term on, ordered by index."""
         return tuple(self.registry.mode(i) for i in sorted(self.terms))
 
 
@@ -97,11 +100,10 @@ def field_from_terms(
     registry: ModeRegistry, terms: Mapping[ModeId, tuple[complex, complex]]
 ) -> LinearField:
     """Build a field directly from per-mode coefficient pairs."""
-    pruned: dict[int, tuple[complex, complex]] = {}
-    for mode, (u, v) in sorted(terms.items(), key=lambda item: item[0].index):
-        if u != 0 or v != 0:
-            pruned[mode.index] = (u, v)
-    return LinearField(registry, pruned)
+    ordered = sorted(terms.items(), key=lambda item: item[0].index)
+    if any(mode.registry is not registry for mode, _ in ordered):
+        raise ValueError("mode belongs to a different registry")
+    return LinearField(registry, {mode.index: (u, v) for mode, (u, v) in ordered})
 
 
 def annihilator_field(mode: ModeId) -> LinearField:
@@ -119,10 +121,7 @@ def combine(
     for index in sorted(field_a.terms.keys() | field_b.terms.keys()):
         ua, va = field_a.terms.get(index, _ZERO_TERM)
         ub, vb = field_b.terms.get(index, _ZERO_TERM)
-        u = coeff_a * ua + coeff_b * ub
-        v = coeff_a * va + coeff_b * vb
-        if u != 0 or v != 0:
-            terms[index] = (u, v)
+        terms[index] = (coeff_a * ua + coeff_b * ub, coeff_a * va + coeff_b * vb)
     return LinearField(field_a.registry, terms)
 
 

@@ -296,6 +296,10 @@ class TestOutputDigests:
              "2d3ce2b5950ab19bffb6986c8a6a9312f4e2bd50e736c0ad5977880397e4a388"),
             (["figure", "fig4", "--format", "tsv"],
              "94f832b28d04a29b2f4a3a90c19ddfec205de9e9d27a20013a0e11bb3684f152"),
+            (["sweep", "--scenario", "b", "--eta", "0", "--squeezing", "0.5"],
+             "a8a23da2e2509e13a3860018991cd54cbf3ee2afd0dc5e46ba7f1658058d53ec"),
+            (["sweep", "--scenario", "b", "--eta", "1", "--squeezing", "0.5"],
+             "4f7386dd3923ae00d7a8e866efe26b6d1d40ce46e3c6b89846b9d971c5a6e108"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_canonical_field, random_qubit
 from fock_reference import ladder_matrix, operator_matrix, uniform_oracle_flux
@@ -26,8 +26,10 @@ from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
     combine,
+    commutator,
     dagger,
     field_from_terms,
+    quadrature_variances,
 )
 from mzteleport.scenarios import LAYOUTS
 
@@ -283,3 +285,36 @@ class TestOracleFlux:
         scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
         exact = oracle_flux(field, state, cutoff=4)
         assert abs(exact - photon_flux(field, state)) <= 1e-10 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    roles=st.lists(st.sampled_from(["term", "zero", "none"]), min_size=7, max_size=7),
+    zero=st.sampled_from([(0.0, 0.0), (0j, 0j)]),
+)
+def test_stored_zeros_change_no_route(seed, roles, zero):
+    # A field keeps a (0, 0) term where one cancels, on a signal mode too.
+    # Every route adds zero for it; the oracle may sum the vacuum basis
+    # state in another place, so it agrees to rounding.
+    assume("term" in roles and "zero" in roles)
+    rng = np.random.default_rng(seed)
+    reg = ModeRegistry()
+    modes = [*reg.signal_pair(), *(reg.fresh_mode() for _ in range(5))]
+    bare = random_canonical_field(reg, [m for m, r in zip(modes, roles) if r == "term"], rng)
+    padded = field_from_terms(
+        reg,
+        {
+            **{reg.mode(index): pair for index, pair in bare.terms.items()},
+            **{m: zero for m, r in zip(modes, roles) if r == "zero"},
+        },
+    )
+    assert len(padded.terms) == roles.count("term") + roles.count("zero")
+    other = random_canonical_field(reg, modes, rng)
+    state = random_qubit(rng)
+    assert photon_flux(padded, state) == photon_flux(bare, state)
+    assert commutator(padded, padded) == commutator(bare, bare)
+    assert commutator(padded, other) == commutator(bare, other)
+    assert quadrature_variances(padded) == quadrature_variances(bare)
+    oracle = oracle_flux(bare, state)
+    assert abs(oracle_flux(padded, state) - oracle) <= 1e-15 * oracle

@@ -41,6 +41,15 @@ class TestRegistry:
 
 
 class TestFieldBasics:
+    def test_mode_of_another_registry_rejected(self):
+        # ModeId compares by index alone, so a foreign mode would land on
+        # this registry's mode of the same index, a shared vacuum.
+        a, b = fresh_registry(), fresh_registry()
+        with pytest.raises(ValueError, match="different registry"):
+            field_from_terms(a, {b.fresh_mode(): (1.0, 0.0)})
+        with pytest.raises(ValueError, match="different registry"):
+            annihilator_field(a.fresh_mode()).coefficient(b.fresh_mode())
+
     def test_annihilator_field(self):
         reg = fresh_registry()
         a_h, _ = reg.signal_pair()
@@ -81,12 +90,13 @@ class TestCombine:
         doubled = combine(1.0, field, 1.0, field)
         assert doubled.coefficient(a_h) == (2.0, 0.0)
 
-    def test_cancellation_prunes(self):
+    def test_cancellation_keeps_a_zero_term(self):
         reg = fresh_registry()
         a_h, _ = reg.signal_pair()
         field = annihilator_field(a_h)
         zero = combine(1.0, field, -1.0, field)
-        assert zero.terms == {}
+        assert zero.terms == {0: (0j, 0j)}
+        assert zero.support() == (a_h,)
 
     def test_balanced_mix_coefficients(self):
         reg = fresh_registry()
@@ -164,9 +174,9 @@ class TestSqueezers:
     def test_two_mode_identity_at_unit_pump(self):
         reg = fresh_registry()
         e1, e2 = two_mode_squeezer(reg, 1.0)
-        f1, f2 = reg.mode(2), reg.mode(3)
-        assert e1 == annihilator_field(f1)
-        assert e2 == annihilator_field(f2)
+        # Each output keeps its zero creation term on the other mode.
+        assert e1.terms == {2: (1.0, 0.0), 3: (0.0, 0.0)}
+        assert e2.terms == {2: (0.0, 0.0), 3: (1.0, 0.0)}
 
     def test_two_mode_creation_coefficient(self):
         reg = fresh_registry()
@@ -180,12 +190,14 @@ class TestAttenuator:
     def test_lossless_is_identity(self):
         reg = fresh_registry()
         d = annihilator_field(reg.fresh_mode())
-        assert attenuate(d, 1.0) == d
+        # D's term, and a zero on the vacuum mode the attenuator drew.
+        assert attenuate(d, 1.0).terms == {2: (1.0, 0.0), 3: (0.0, 0.0)}
 
     def test_full_block_is_vacuum(self):
         reg = fresh_registry()
         blocked = attenuate(annihilator_field(reg.fresh_mode()), 0.0)
-        assert blocked == annihilator_field(reg.mode(3))
+        # The drawn vacuum, and a zero on the blocked input.
+        assert blocked.terms == {2: (0.0, 0.0), 3: (1.0, 0.0)}
 
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_stays_canonical(self, eta, rng, signal_registry, signal_modes):

@@ -181,12 +181,13 @@ class TestNetworkAgainstClosedForms:
 class TestNetworkStructure:
     def test_lossless_attenuator_reduces_to_layout_a(self):
         # eta = 1 makes layout b's fields coincide with layout a's,
-        # coefficient by coefficient in index order (the attenuator's
-        # vacuum mode drops out; it shifts only later indices).
+        # coefficient by coefficient in index order, plus a zero term on
+        # the attenuator's vacuum mode, the last mode of its arm (it
+        # shifts only later indices).
         plain = build_scenario(ScenarioConfig("a", KIND_TWO_MODE, 0.8, 1.125))
         balanced = build_scenario(ScenarioConfig("b", KIND_TWO_MODE, 0.8, 1.125, 1.0))
         for field_a, field_b in zip(plain.all_fields, balanced.all_fields):
-            assert list(field_a.terms.values()) == list(field_b.terms.values())
+            assert list(field_b.terms.values()) == [*field_a.terms.values(), (0.0, 0.0)]
 
     def test_dual_teleporter_cancels_signal_at_dark_port(self):
         outputs = build_scenario(ScenarioConfig("c", KIND_TWO_MODE, 0.8, 1.125))

@@ -129,6 +129,25 @@ def test_scenarios_have_no_overflow_path():
     assert paths == []
 
 
+def test_field_algebra_tests_no_value():
+    # A field keeps every term its elements write, a cancelled one as
+    # (0, 0), so no coefficient gets a rule of its own; a zero test would
+    # also branch on each cell of an array coefficient.
+    tree = ast.parse((PACKAGE_DIR / "modes.py").read_text())
+    zero_tests = sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(
+                isinstance(operand, ast.Constant) and operand.value == 0
+                for operand in (node.left, *node.comparators)
+            )
+        }
+    )
+    assert zero_tests == []
+
+
 def test_elements_take_no_modes():
     # Each element draws its vacuum inputs from its input's registry, so no
     # two elements can share an ancilla. An element that took a mode would
@@ -199,7 +218,8 @@ class TestBenchmarkHooks:
         patches = tracer_module.LayerPatches(tracer)
         slots = [(owner, name, original) for owner, name, original, _ in patches._slots]
         assert len(slots) == TRACER_SLOTS
-        # A dark-port field of layout c: its support leaves out both signal modes.
+        # A dark-port field of layout c: its terms hold a zero on the horizontal
+        # signal mode and none on the vertical one.
         dark = build_scenario(ScenarioConfig("c", "two-mode", 0.5, 1.125)).port_b[0]
         modes = dark.terms.keys() | {mode.index for mode in dark.registry.signal_pair()}
         patches.apply()
