@@ -36,7 +36,7 @@ _TWO_MODE_CURVES = tuple((f"two-mode s={s:g}", KIND_TWO_MODE, s) for s in (0.0, 
 _SOURCE_CURVES = (*_TWO_MODE_CURVES, ("single-squeezer s=0.875", KIND_SINGLE_SQUEEZER, 0.875))
 
 # The labelled configurations behind each figure preset, each swept across
-# the figure's grid (``gain`` is replaced by every grid point). fig3: layout
+# the figure's grid (``gain`` is replaced by the grid's gains). fig3: layout
 # a, fig4: layout b with per-gain optimized attenuation, both at two-mode
 # squeezing 0, 0.5 and 0.9 plus the single-squeezer source at 0.875; fig5:
 # layout c at the three two-mode squeezings.

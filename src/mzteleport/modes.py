@@ -1,9 +1,10 @@
 """Bosonic input modes and the linear ladder-operator algebra.
 
 A field is a finite sum ``sum_k (u_k a_k + v_k a_k^dag)`` over registered
-modes, with complex coefficients. It keeps every term its elements write:
-where a term cancels (layout c's dark-port signal) or is scaled by zero (an
-attenuator's vacuum at ``eta = 1``) it holds ``(0, 0)``. Every optical element
+modes, with complex coefficients, or complex arrays over a block of gains.
+It keeps every term its elements write: where a term cancels (layout c's
+dark-port signal) or is scaled by zero (an attenuator's vacuum at
+``eta = 1``) it holds ``(0, 0)``. Every optical element
 used by the interferometer networks (beamsplitters, squeezers, attenuators,
 teleporters) maps such fields to such fields, so an entire network evaluates
 to one closed-form field per output port. A registry holds the two signal
@@ -11,8 +12,8 @@ modes from the start; an element that needs vacuum inputs draws fresh ones
 from its input field's registry, so no two elements can share one.
 
 The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
-check them once, on construction) and casts no number, so it runs on floats
-and on exact sympy expressions alike. It squares by multiplying, never with ``**``.
+check them once, on construction) and casts no number, so it runs on floats,
+arrays and exact sympy expressions alike. It squares by multiplying, never with ``**``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping
+
+import numpy as np
 
 __all__ = [
     "ModeId",
@@ -44,7 +47,7 @@ class ModeId:
     """Handle for one registered bosonic input mode."""
 
     index: int
-    registry: "ModeRegistry" = dataclass_field(repr=False, compare=False)
+    registry: "ModeRegistry" = dataclass_field(repr=False)
 
 
 class ModeRegistry:
@@ -79,6 +82,7 @@ class LinearField:
 
     ``terms`` maps mode index to the pair ``(u, v)``, in index order; a term
     that cancels, or that an element scales by zero, stays as ``(0, 0)``.
+    A coefficient may be an array over a block of gains, carried elementwise.
     Instances are immutable values -- all operations return new fields.
     """
 
@@ -178,7 +182,12 @@ def attenuate(field_d: LinearField, eta: float) -> LinearField:
     drawn fresh from D's registry, for a transmission ``eta`` in [0, 1] that the
     caller has checked."""
     g = field_d.registry.fresh_mode()
-    return combine(math.sqrt(eta), field_d, math.sqrt(1.0 - eta), annihilator_field(g))
+    return combine(_sqrt(eta), field_d, _sqrt(1.0 - eta), annihilator_field(g))
+
+
+def _sqrt(x):
+    """``np.sqrt`` of an array, else ``math.sqrt``, looked up per call so a test can swap it."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def quadrature_variances(field: LinearField) -> tuple[float, float]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .modes import (
     LinearField,
     ModeRegistry,
@@ -58,16 +60,19 @@ def check_pump_gain(H: float) -> None:
         raise ValueError(f"pump gain must be >= 1 and <= {PUMP_GAIN_MAX!r}, got {H!r}")
 
 
-def check_channel(kind: str, gain: float, H: float) -> None:
+def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
     """Reject a channel operating point outside the admitted domain.
 
     ``kind`` must be one of :data:`KINDS`, ``gain`` in ``[0, GAIN_MAX]``
-    and ``H`` a valid pump gain, exactly 1 for the classical kind.
+    and ``H`` a valid pump gain, exactly 1 for the classical kind. An array
+    of gains is checked at its minimum and maximum, which a NaN fails.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {KINDS}")
-    if not 0.0 <= gain <= GAIN_MAX:
-        raise ValueError(f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}, got {gain!r}")
+    ends = (float(gain.min()), float(gain.max())) if isinstance(gain, np.ndarray) else (gain,)
+    for end in ends:
+        if not 0.0 <= end <= GAIN_MAX:
+            raise ValueError(f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}, got {end!r}")
     check_pump_gain(H)
     if kind == KIND_CLASSICAL and H != 1.0:
         raise ValueError(
@@ -77,10 +82,10 @@ def check_channel(kind: str, gain: float, H: float) -> None:
 
 @dataclass(frozen=True)
 class TeleporterSpec:
-    """Channel family plus feedforward gain and squeezer pump gain."""
+    """Channel family plus feedforward gain (or a 1-D array of gains) and squeezer pump gain."""
 
     kind: str
-    gain: float
+    gain: float | np.ndarray
     H: float = 1.0
 
     def __post_init__(self) -> None:

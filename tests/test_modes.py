@@ -42,13 +42,19 @@ class TestRegistry:
 
 class TestFieldBasics:
     def test_mode_of_another_registry_rejected(self):
-        # ModeId compares by index alone, so a foreign mode would land on
-        # this registry's mode of the same index, a shared vacuum.
+        # A foreign mode would land on this registry's mode of the same index,
+        # a shared vacuum.
         a, b = fresh_registry(), fresh_registry()
         with pytest.raises(ValueError, match="different registry"):
             field_from_terms(a, {b.fresh_mode(): (1.0, 0.0)})
         with pytest.raises(ValueError, match="different registry"):
             annihilator_field(a.fresh_mode()).coefficient(b.fresh_mode())
+        # Same index, other registry: two keys, not one that hides the foreign mode.
+        a, b = fresh_registry(), fresh_registry()
+        m, n = a.fresh_mode(), b.fresh_mode()
+        assert m != n
+        with pytest.raises(ValueError, match="different registry"):
+            field_from_terms(a, {m: (1.0, 0.0), n: (5.0, 0.0)})
 
     def test_annihilator_field(self):
         reg = fresh_registry()

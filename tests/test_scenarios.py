@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from array import array
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from mzteleport import (
     sweep_gain,
     visibility,
 )
-from mzteleport import teleporter
+from mzteleport import scenarios, teleporter
 from mzteleport.modes import commutator
 from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS, SweepRow
 from mzteleport.teleporter import GAIN_MAX, KINDS, PUMP_GAIN_MAX, check_channel
@@ -127,8 +129,11 @@ class TestConfigValidation:
         H = 1.0 if source == KIND_CLASSICAL else 1.125
         config = ScenarioConfig(layout, source, 0.0, H, eta)
         grid = [0.25, 0.5, 0.75, 1.0, 1.25]
+        monkeypatch.setattr(scenarios, "SWEEP_BLOCK", 2)
         sweep_gain(config, grid)
-        assert calls == [0.0, *grid]
+        # The config at its own gain, then each block of the grid as one array.
+        assert calls[0] == 0.0
+        assert [block.tolist() for block in calls[1:]] == [grid[:2], grid[2:4], grid[4:]]
 
 
 class TestNetworkAgainstClosedForms:
@@ -387,6 +392,19 @@ class TestSweep:
             for qubit in (HORIZONTAL, VERTICAL):
                 assert math.isfinite(oracle_flux(field, qubit))
 
+    def test_memory_stays_flat_in_the_grid_length(self):
+        # One block's fields are alive at a time: this sweep peaks near 9 MiB,
+        # where one network over the whole grid peaks near 99 MiB.
+        grid = default_gain_grid(0.0, 1.5, 100_001)
+        config = ScenarioConfig("c", KIND_SINGLE_SQUEEZER, 0.0, squeezing_to_H(0.5))
+        tracemalloc.start()
+        try:
+            sweep_gain(config, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_gains_are_a_read_only_view_of_the_grid(self):
         grid = default_gain_grid(0.0, 1.5, 5)
         table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), grid)
@@ -421,15 +439,18 @@ class TestSweep:
         # Grids from 0 reach the dark origin of layout c without squeezing.
         start=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
         width=st.floats(0.01, 1.5),
-        steps=st.integers(2, 6),
+        steps=st.integers(2, 12),
+        # Blocks this small put block edges, and a short last block, inside the grid.
+        block=st.integers(1, 5),
     )
     def test_columns_match_pointwise_evaluation(
-        self, layout, source, squeezing, eta, start, width, steps
+        self, layout, source, squeezing, eta, start, width, steps, block
     ):
         H = 1.0 if source == KIND_CLASSICAL else squeezing_to_H(squeezing)
         config = ScenarioConfig(layout, source, 0.0, H, eta if layout == "b" else None)
         grid = default_gain_grid(start, start + width, steps)
-        table = sweep_gain(config, grid)
+        with patch.object(scenarios, "SWEEP_BLOCK", block):
+            table = sweep_gain(config, grid)
         expected = []
         for gain in grid:
             counts = evaluate_counts(ScenarioConfig(layout, source, float(gain), H, config.eta))
