@@ -186,12 +186,13 @@ def _resolve(
 ) -> Callable[[], Iterable[str]]:
     """Check the command's values; return the evaluation that renders them.
 
-    Every configuration is built at both ends of its grid, which bound
-    every gain. The library checks every range, so the command line accepts
-    exactly what the library accepts; a value it rejects is a usage error,
-    as is a precision the formatter rejects, reported through ``parser``,
-    the command's own. The evaluation completes every table before it
-    returns the text, so an evaluation failure writes nothing.
+    Every configuration is built once over its whole grid, which the
+    library checks at its ends. The library checks every range, so the
+    command line accepts exactly what the library accepts; a value it
+    rejects is a usage error, as is a precision the formatter rejects,
+    reported through ``parser``, the command's own. The evaluation completes
+    every table before it returns the text, so an evaluation failure writes
+    nothing.
     """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
@@ -214,8 +215,7 @@ def _resolve(
             source = _SOURCE_BY_FLAG[args.source]
             curves = [(None, ScenarioConfig(args.scenario, source, 0.0, _pump_gain(args), eta))]
         for _, config in curves:
-            for end in (grid[0], grid[-1]):
-                replace(config, gain=float(end))
+            replace(config, gain=grid)
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "classical-max":

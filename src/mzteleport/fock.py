@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .modes import LinearField
 from .photometry import QubitInput
 
@@ -36,8 +38,9 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     basis state with ``n`` photons on its mode to ``n - 1`` photons with
     amplitude ``u sqrt(n)`` and to ``n + 1`` with ``v sqrt(n + 1)``, added
     into one image. No state exceeds two photons on a mode, so every
-    ``cutoff >= 3`` gives the same, exact value. A non-finite (overflowed)
-    flux raises ``OverflowError``.
+    ``cutoff >= 3`` gives the same, exact value. A field over a block of
+    gains gives the block of fluxes. A non-finite (overflowed) flux raises
+    ``OverflowError``.
     """
     if cutoff < 3:
         raise ValueError(
@@ -55,6 +58,6 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
                 image[basis - one] = image.get(basis - one, 0.0) + u * math.sqrt(n) * amplitude
             image[basis + one] = image.get(basis + one, 0.0) + v * math.sqrt(n + 1) * amplitude
     flux = sum((z.real * z.real + z.imag * z.imag for z in image.values()), 0.0)
-    if not math.isfinite(flux):
+    if not (np.isfinite(flux).all() if isinstance(flux, np.ndarray) else math.isfinite(flux)):
         raise OverflowError(f"photon flux overflowed to {flux!r}")
     return flux

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .modes import LinearField
 
 __all__ = ["QubitInput", "PortCounts", "photon_flux", "port_count", "visibility"]
@@ -41,17 +43,25 @@ HORIZONTAL = QubitInput(1.0, 0.0)
 
 @dataclass(frozen=True)
 class PortCounts:
-    """Expected photons per trial at the two interferometer outputs."""
+    """Expected photons per trial at the two interferometer outputs, or arrays
+    of them over a block of gains."""
 
-    count_a: float
-    count_b: float
+    count_a: float | np.ndarray
+    count_b: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.count_a < math.inf and 0.0 <= self.count_b < math.inf):
+        if not (_is_count(self.count_a) and _is_count(self.count_b)):
             raise ValueError(
                 "photon counts must be finite and non-negative, "
                 f"got {self.count_a!r} and {self.count_b!r}"
             )
+
+
+def _is_count(count: float | np.ndarray) -> bool:
+    """``0 <= count < inf``; a block is checked at its minimum and maximum, which a NaN fails."""
+    if isinstance(count, np.ndarray):
+        return 0.0 <= count.min() and count.max() < math.inf
+    return 0.0 <= count < math.inf
 
 
 def photon_flux(field: LinearField, state: QubitInput) -> float:

@@ -23,12 +23,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .modes import LinearField, ModeRegistry, annihilator_field, attenuate, beamsplitter
-from .photometry import HORIZONTAL, PortCounts, photon_flux, port_count
+from .modes import LinearField, ModeRegistry, _sqrt, annihilator_field, attenuate, beamsplitter
+from .photometry import HORIZONTAL, PortCounts, port_count
 from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     TeleporterSpec,
+    _within,
     noise_amplitudes,
     teleport_single_squeezer,
     teleport_two_mode,
@@ -69,6 +70,9 @@ class ScenarioConfig:
     value for its gain. Construction builds the configuration's
     :class:`TeleporterSpec`, which checks the channel, and checks ``eta``,
     once: the elements :func:`build_scenario` runs check none.
+
+    A configuration over a block of gains is not hashable, and ``==``
+    between two of them raises, as numpy's ``==`` of two arrays does.
     """
 
     layout: str
@@ -86,8 +90,9 @@ class ScenarioConfig:
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
-            if self.eta != ETA_AUTO and (isinstance(self.eta, str) or not 0.0 <= self.eta <= 1.0):
-                raise ValueError(f"transmission must be 'auto' or lie in [0, 1], got {self.eta!r}")
+            eta = self.eta
+            if not (eta == ETA_AUTO if isinstance(eta, str) else _within(0.0, eta, 1.0)):
+                raise ValueError(f"transmission must be 'auto' or lie in [0, 1], got {eta!r}")
         elif self.eta is not None:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 
@@ -157,13 +162,14 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     with ``t_d`` = 1 bare, ``sqrt(eta)`` attenuated or ``gain`` teleported,
     and each teleporter adds ``n`` photons at each port (:func:`_port_noise`):
     ``count_a, count_b = (t_c +/- t_d)^2 / 4 + n_c + n_d``, for any input
-    qubit. Both are finite on the whole admitted domain.
+    qubit. Both are finite on the whole admitted domain, and arrays over a
+    block of gains.
     """
     gain = config.gain
     noise_c = _port_noise(config.source, gain, config.H)
     arm_d, noise_d = 1.0, 0.0
     if config.layout == "b":
-        arm_d = math.sqrt(config.resolved_eta())
+        arm_d = _sqrt(config.resolved_eta())
     elif config.layout == "c":
         arm_d, noise_d = gain, noise_c
     bright, dark, noise = gain + arm_d, gain - arm_d, noise_c + noise_d
@@ -232,18 +238,17 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
     """Evaluate the scenario across a non-empty, strictly increasing gain grid.
 
     ``config.gain`` is replaced by each block of :data:`SWEEP_BLOCK` grid gains,
-    checked as admitted and run through one network build; each row equals its
-    gain's :func:`evaluate_counts`, and ``eta = "auto"`` is re-optimized at every
-    gain. A row whose ports are both exactly dark (possible only at gain 0 with
-    no squeezing) records NaN visibility; every other row is finite.
+    checked as admitted and evaluated by one :func:`evaluate_counts`; each row
+    equals its gain's, and ``eta = "auto"`` is re-optimized at every gain. A
+    row whose ports are both exactly dark (possible only at gain 0 with no
+    squeezing) records NaN visibility; every other row is finite.
     """
     gains = _gain_column(gain_grid)
     count_a, count_b = np.empty((2, len(gains)))
     for start in range(0, len(gains), SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
-        outputs = build_scenario(replace(config, gain=gains[block]))
-        count_a[block] = sum(photon_flux(field, HORIZONTAL) for field in outputs.port_a)
-        count_b[block] = sum(photon_flux(field, HORIZONTAL) for field in outputs.port_b)
+        counts = evaluate_counts(replace(config, gain=gains[block]))
+        count_a[block], count_b[block] = counts.count_a, counts.count_b
     with np.errstate(invalid="ignore"):  # a dark row is 0/0, NaN
         fringes = (count_a - count_b) / (count_a + count_b)
     return SweepTable(gains, count_a, count_b, fringes)
@@ -251,7 +256,10 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
 
 def _gain_column(gain_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     """A read-only float64 view of a non-empty, strictly increasing gain grid."""
-    gains = np.asarray(gain_grid, dtype=np.float64).view()
+    try:
+        gains = np.asarray(gain_grid, dtype=np.float64).view()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"gain grid must be a sequence of numbers: {exc}") from None
     gains.flags.writeable = False
     if gains.ndim != 1:
         raise ValueError("gain grid must be one-dimensional")

@@ -55,8 +55,8 @@ GAIN_MAX = PUMP_GAIN_MAX = 1e100
 
 
 def check_pump_gain(H: float) -> None:
-    """Reject a squeezer pump gain outside ``[1, PUMP_GAIN_MAX]``."""
-    if not 1.0 <= H <= PUMP_GAIN_MAX:
+    """Reject a squeezer pump gain that is not one number in ``[1, PUMP_GAIN_MAX]``."""
+    if not _within(1.0, H, PUMP_GAIN_MAX):
         raise ValueError(f"pump gain must be >= 1 and <= {PUMP_GAIN_MAX!r}, got {H!r}")
 
 
@@ -65,19 +65,38 @@ def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
 
     ``kind`` must be one of :data:`KINDS`, ``gain`` in ``[0, GAIN_MAX]``
     and ``H`` a valid pump gain, exactly 1 for the classical kind. An array
-    of gains is checked at its minimum and maximum, which a NaN fails.
+    of gains must be non-empty, 1-D and float64, and is checked at its
+    minimum and maximum, which a NaN fails.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {KINDS}")
-    ends = (float(gain.min()), float(gain.max())) if isinstance(gain, np.ndarray) else (gain,)
+    ends = (gain,)
+    if isinstance(gain, np.ndarray):
+        if gain.dtype != np.float64 or gain.ndim != 1 or not gain.size:
+            raise ValueError(
+                "a block of feedforward gains must be a non-empty 1-D float64 array, "
+                f"got {gain.dtype} of shape {gain.shape}"
+            )
+        ends = (float(gain.min()), float(gain.max()))
     for end in ends:
-        if not 0.0 <= end <= GAIN_MAX:
+        if not _within(0.0, end, GAIN_MAX):
             raise ValueError(f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}, got {end!r}")
     check_pump_gain(H)
     if kind == KIND_CLASSICAL and H != 1.0:
         raise ValueError(
             f"H must be exactly 1 for a classical source (H = 1 means no squeezing), got {H!r}"
         )
+
+
+def _within(low: float, value, high: float) -> bool:
+    """``low <= value <= high`` for one number; an array, or a value that does
+    not compare with a float (a list, a ``str``, ``None``), lies outside."""
+    if isinstance(value, np.ndarray):
+        return False
+    try:
+        return low <= value <= high
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -200,8 +219,11 @@ def coherent_fidelity(spec: TeleporterSpec) -> float:
 
     Computed from the quadrature variances (V_X, V_P) of the channel's
     noise field as ``2 / sqrt((2 + V_X) * (2 + V_P))``; the classical
-    channel lands on exactly 1/2, the usual no-entanglement bound.
+    channel lands on exactly 1/2, the usual no-entanglement bound. A spec
+    over a block of gains is rejected: the fidelity is one number.
     """
+    if isinstance(spec.gain, np.ndarray):
+        raise ValueError("coherent fidelity takes one gain, not a block of gains")
     if spec.gain != 1.0:
         raise ValueError("coherent fidelity is defined at unity gain only")
     v_x, v_p = quadrature_variances(_channel_noise(spec, ModeRegistry()))

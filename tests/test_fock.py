@@ -259,6 +259,15 @@ class TestOracleFlux:
         field = field_from_terms(reg, {reg.mode(index): pair for index, pair in terms.items()})
         with pytest.raises(OverflowError, match="overflowed"):
             oracle_flux(field, QubitInput(1.0, 0.0))
+        # The same field as the last gain of a block, after a finite one; here
+        # numpy warns of the overflow as well.
+        block = {
+            reg.mode(index): (np.array([0.0, u]), np.array([0.0, v]))
+            for index, (u, v) in terms.items()
+        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="overflowed"):
+                oracle_flux(field_from_terms(reg, block), QubitInput(1.0, 0.0))
 
     def test_sixteen_modes_fit(self, rng):
         # 14 vacuum modes beside both signal modes, where a uniform cutoff

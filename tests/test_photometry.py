@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_canonical_field, random_qubit
@@ -77,16 +78,14 @@ class TestPortCount:
         assert counts.count_b == pytest.approx(expected, abs=1e-12)
 
     def test_counts_validate_sign(self):
-        with pytest.raises(ValueError, match="negative"):
-            PortCounts(-0.1, 0.2)
-        with pytest.raises(ValueError, match="negative"):
-            PortCounts(math.nan, 1.0)
-        with pytest.raises(ValueError, match="negative"):
-            PortCounts(1.0, math.nan)
-        with pytest.raises(ValueError, match="finite"):
-            PortCounts(math.inf, 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            PortCounts(1.0, math.inf)
+        # Each count alone, and as the last of a block of counts over gains.
+        for bad in (-0.1, math.nan, math.inf):
+            for count in (bad, np.array([0.5, bad])):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    PortCounts(count, 1.0)
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    PortCounts(1.0, count)
+        PortCounts(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
 
     def test_non_finite_count_rejected_once(self):
         # A 1e200 creation coefficient squares past the float range; the

@@ -6,6 +6,7 @@ import cmath
 import math
 import tracemalloc
 from array import array
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -22,6 +23,7 @@ from mzteleport import (
     QubitInput,
     ScenarioConfig,
     SweepTable,
+    TeleporterSpec,
     build_scenario,
     default_gain_grid,
     evaluate_counts,
@@ -55,6 +57,53 @@ def scenario_configs(draw):
     H = 1.0 if source == KIND_CLASSICAL else squeezing_to_H(squeezing)
     eta = draw(st.one_of(st.just(ETA_AUTO), st.floats(0.0, 1.0))) if layout == "b" else None
     return ScenarioConfig(layout, source, gain, H, eta)
+
+
+# Each parameter a constructor checks: how to build it, its domain, and the
+# name its rejection message carries. The grid is checked as a block of gains.
+GAIN_NAME, PUMP_NAME = "feedforward gain", "pump gain"
+DOMAIN_SITES = {
+    "spec gain": (lambda x: TeleporterSpec(KIND_TWO_MODE, x, 1.125), 0.0, GAIN_MAX, GAIN_NAME),
+    "spec H": (lambda x: TeleporterSpec(KIND_TWO_MODE, 0.5, x), 1.0, PUMP_GAIN_MAX, PUMP_NAME),
+    "config gain": (
+        lambda x: ScenarioConfig("a", KIND_TWO_MODE, x, 1.125), 0.0, GAIN_MAX, GAIN_NAME
+    ),
+    "config H": (
+        lambda x: ScenarioConfig("a", KIND_TWO_MODE, 0.5, x), 1.0, PUMP_GAIN_MAX, PUMP_NAME
+    ),
+    "config eta": (
+        lambda x: ScenarioConfig("b", KIND_TWO_MODE, 0.5, 1.125, x), 0.0, 1.0, "transmission"
+    ),
+    "sweep grid": (
+        lambda x: sweep_gain(ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1.125), x),
+        0.0,
+        GAIN_MAX,
+        f"gain grid|{GAIN_NAME}",
+    ),
+}
+OUTSIDE_KINDS = ("below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str")
+
+
+def outside_value(kind: str, block: bool, low: float, high: float):
+    """A value of ``kind`` that a parameter admitting one number in ``[low, high]``
+    rejects: alone, or in block form (a number follows ``low`` in an array).
+
+    Lists and int arrays hold a number below the domain, so that a grid, which
+    converts any sequence of numbers, is outside too.
+    """
+    below = math.nextafter(low, -math.inf)
+    numbers = {
+        "below": below, "above": high * 1e100, "nan": math.nan, "inf": math.inf, "-inf": -math.inf
+    }
+    if kind in numbers:
+        return np.array([low, numbers[kind]]) if block else numbers[kind]
+    return {
+        "empty": np.empty(0) if block else [],
+        "2-D": np.full((2, 2) if block else (1, 1), low),
+        "int array": np.array([int(low), int(low) - 1] if block else [int(low) - 1]),
+        "list": [low, below] if block else [below],
+        "str": np.array(["half", "half"]) if block else "half",
+    }[kind]
 
 
 @st.composite
@@ -113,6 +162,35 @@ class TestConfigValidation:
         auto = ScenarioConfig("b", KIND_TWO_MODE, 0.5, 1.125, ETA_AUTO)
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
+
+    # 120 combinations: enough examples that hypothesis exhausts them all.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        site=st.sampled_from(sorted(DOMAIN_SITES)),
+        kind=st.sampled_from(OUTSIDE_KINDS),
+        block=st.booleans(),
+    )
+    @example(site="sweep grid", kind="above", block=True)  # the grid [0.0, 1e200]
+    def test_rejects_what_lies_outside_the_domain(self, site, kind, block):
+        build, low, high, name = DOMAIN_SITES[site]
+        with pytest.raises(ValueError, match=name):
+            build(outside_value(kind, block, low, high))
+
+    def test_block_of_gains_is_a_one_dimensional_float64_array(self):
+        config = ScenarioConfig("a", KIND_TWO_MODE, np.array([0.0, 0.5]), 1.125)
+        assert config.gain.tolist() == [0.0, 0.5]
+        for gains in (np.array([0, 1]), np.array([0.5], dtype=np.float32), np.array(0.5)):
+            with pytest.raises(ValueError, match="1-D float64"):
+                ScenarioConfig("a", KIND_TWO_MODE, gains, 1.125)
+
+    def test_block_configuration_is_not_hashable_or_comparable(self):
+        # A frozen dataclass hashes and compares its fields: an array does neither.
+        config = ScenarioConfig("c", KIND_TWO_MODE, np.array([0.25, 0.5]), 1.125)
+        twin = replace(config, gain=config.gain.copy())
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(config)
+        with pytest.raises(ValueError, match="ambiguous"):
+            config == twin
 
     @pytest.mark.parametrize(
         "layout, eta", [("a", None), ("b", ETA_AUTO), ("b", 0.5), ("c", None)]
@@ -451,12 +529,27 @@ class TestSweep:
         grid = default_gain_grid(start, start + width, steps)
         with patch.object(scenarios, "SWEEP_BLOCK", block):
             table = sweep_gain(config, grid)
+        # The closed form and the oracle take the whole grid as one block too.
+        block_config = replace(config, gain=grid)
+        block_reference = reference_counts(block_config)
+        block_outputs = build_scenario(block_config)
+        block_oracle = [
+            sum(oracle_flux(field, HORIZONTAL) for field in port)
+            for port in (block_outputs.port_a, block_outputs.port_b)
+        ]
         expected = []
-        for gain in grid:
-            counts = evaluate_counts(ScenarioConfig(layout, source, float(gain), H, config.eta))
+        for k, gain in enumerate(grid):
+            point = ScenarioConfig(layout, source, float(gain), H, config.eta)
+            counts = evaluate_counts(point)
             dark = counts.count_a + counts.count_b == 0.0
             fringe = math.nan if dark else visibility(counts)
             expected.append(SweepRow(float(gain), counts.count_a, counts.count_b, fringe))
+            reference = reference_counts(point)
+            assert block_reference.count_a[k] == reference.count_a
+            assert block_reference.count_b[k] == reference.count_b
+            outputs = build_scenario(point)
+            for port, column in zip((outputs.port_a, outputs.port_b), block_oracle):
+                assert column[k] == sum(oracle_flux(field, HORIZONTAL) for field in port)
         rows = table.rows
         assert len(rows) == steps
         for row, want in zip(rows, expected):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -283,3 +284,6 @@ class TestCoherentFidelity:
     def test_requires_unity_gain(self):
         with pytest.raises(ValueError, match="unity gain"):
             coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, 0.9, 1.125))
+        # The fidelity is one number: a block of gains, even of unity gains, has none.
+        with pytest.raises(ValueError, match="one gain, not a block"):
+            coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, np.array([1.0, 1.0]), 1.125))
