@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .scenarios import ETA_AUTO, ScenarioConfig, SweepTable, default_gain_grid, sweep_gain
 from .teleporter import (
     KIND_CLASSICAL,
@@ -197,7 +199,7 @@ def _resolve(
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
     try:
-        format(0.0, f".{args.precision}g")
+        _cell_format(args) % 0.0
         if args.command == "fidelity":
             spec = TeleporterSpec(_SOURCE_BY_FLAG[args.source], 1.0, _pump_gain(args))
             return lambda: _render_line(
@@ -233,10 +235,16 @@ def _pump_gain(args: argparse.Namespace) -> float:
     return 1.0 if args.H is None else args.H
 
 
+def _cell_format(args: argparse.Namespace) -> str:
+    """``%`` format of one cell: ``args.precision`` significant digits, as ``format``'s ``g``."""
+    return f"%.{args.precision}g"
+
+
 def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> list[str]:
     """A header line and one row; strings pass through, numbers are formatted."""
     sep = _SEPARATORS[args.format]
-    cells = (v if isinstance(v, str) else format(float(v), f".{args.precision}g") for v in row)
+    cell = _cell_format(args)
+    cells = (v if isinstance(v, str) else cell % float(v) for v in row)
     return [sep.join(header) + "\n", sep.join(cells) + "\n"]
 
 
@@ -247,12 +255,12 @@ def _render_tables(
 
     csv and tsv put every curve under one header, with a leading ``curve``
     column when labelled; gnuplot gives each curve its own commented
-    block, separated by blank lines. Rows come joined in blocks of
-    :data:`WRITE_BLOCK_LINES`, one write each.
+    block, separated by blank lines. Rows come in blocks of
+    :data:`WRITE_BLOCK_LINES`, each one ``%``-format call and one write.
     """
     sep = _SEPARATORS[args.format]
     header = sep.join(SWEEP_HEADER) + "\n"
-    line = sep.join([f"{{:.{args.precision}g}}"] * 4) + "\n"
+    line = sep.join([_cell_format(args)] * 4) + "\n"
     gnuplot = args.format == "gnuplot"
     if not gnuplot:
         yield header if tables[0][0] is None else "curve" + sep + header
@@ -265,13 +273,15 @@ def _render_tables(
                 yield f"# {label}\n"
             yield "# " + header
         elif label is not None:
-            prefix = label + sep
-        # Python floats, one block of rows at a time: formatting numpy
-        # scalars directly costs a few microseconds more per row.
+            prefix = label.replace("%", "%%") + sep
+        # One block's rows as a flat tuple of Python floats, row by row, for
+        # one format of the block's lines; a stack of the whole table would
+        # hold a second copy of it.
         columns = (table.gains, table.count_a, table.count_b, table.visibility)
         for start in range(0, len(table.gains), WRITE_BLOCK_LINES):
-            block = (column[start : start + WRITE_BLOCK_LINES].tolist() for column in columns)
-            yield "".join([prefix + line.format(*row) for row in zip(*block)])
+            block = slice(start, start + WRITE_BLOCK_LINES)
+            rows = np.column_stack([column[block] for column in columns])
+            yield (prefix + line) * len(rows) % tuple(rows.ravel().tolist())
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Bosonic input modes and the linear ladder-operator algebra.
 
 A field is a finite sum ``sum_k (u_k a_k + v_k a_k^dag)`` over registered
-modes, with complex coefficients, or complex arrays over a block of gains.
+modes, with real or complex coefficients, or arrays of them over a block of
+gains: a coefficient is complex only where an element writes a complex number.
 It keeps every term its elements write: where a term cancels (layout c's
 dark-port signal) or is scaled by zero (an attenuator's vacuum at
 ``eta = 1``) it holds ``(0, 0)``. Every optical element
@@ -39,7 +40,7 @@ __all__ = [
     "quadrature_variances",
 ]
 
-_ZERO_TERM = (0j, 0j)
+_ZERO_TERM = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class ModeRegistry:
 
 @dataclass(frozen=True)
 class LinearField:
-    """``sum_k (u_k a_k + v_k a_k^dag)`` with sparse complex coefficients.
+    """``sum_k (u_k a_k + v_k a_k^dag)`` with sparse real or complex coefficients.
 
     ``terms`` maps mode index to the pair ``(u, v)``, in index order; a term
     that cancels, or that an element scales by zero, stays as ``(0, 0)``.
@@ -112,7 +113,7 @@ def field_from_terms(
 
 def annihilator_field(mode: ModeId) -> LinearField:
     """The bare input operator of ``mode`` as a field."""
-    return LinearField(mode.registry, {mode.index: (1.0 + 0j, 0j)})
+    return LinearField(mode.registry, {mode.index: (1.0, 0.0)})
 
 
 def combine(

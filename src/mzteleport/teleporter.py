@@ -198,8 +198,12 @@ def optimal_gain(H: float) -> float:
 
 
 def squeezing_to_H(s: float) -> float:
-    """Pump gain for squeezing fraction ``s``: solves (sqrt(H)-sqrt(H-1))^2 = 1-s."""
-    if not 0.0 <= s < 1.0:
+    """Pump gain for squeezing fraction ``s``: solves (sqrt(H)-sqrt(H-1))^2 = 1-s.
+
+    ``s`` is one number in ``[0, 1)``; an array, or a value that does not
+    compare with a float, is rejected like one outside it.
+    """
+    if not (_within(0.0, s, 1.0) and s < 1.0):
         raise ValueError(f"squeezing fraction must lie in [0, 1), got {s!r}")
     remaining = 1.0 - s
     total = 1.0 + remaining

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import math
@@ -19,6 +20,7 @@ from mzteleport import (
     KIND_TWO_MODE,
     H_to_squeezing,
     ScenarioConfig,
+    SweepTable,
     cli,
     default_gain_grid,
     squeezing_to_H,
@@ -167,6 +169,37 @@ class TestSweepCommand:
         # The header, then the rows in blocks of 2, 2 and 1.
         assert stream.writes == 4
         assert stream.getvalue() == expected
+
+
+class TestRenderTables:
+    # Values no sweep prints, which a cell must still render as ``format`` does.
+    EXTREMES = SweepTable(
+        np.array([0.0, 5e-324, 1.0, math.inf]),
+        np.array([-0.0, 1e300, 0.1, 2.5]),
+        np.array([math.inf, -math.inf, 1 / 3, 0.0]),
+        np.array([math.nan, -0.0, -1e-300, 123456789.0]),
+    )
+
+    @pytest.mark.parametrize("precision", [1, 12, 17])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "gnuplot"])
+    def test_every_cell_is_format_g(self, monkeypatch, fmt, precision):
+        # Blocks of 3 rows: the 7-row curve crosses two block boundaries, the 4-row one one.
+        monkeypatch.setattr(cli, "WRITE_BLOCK_LINES", 3)
+        dark = sweep_gain(ScenarioConfig("c", KIND_TWO_MODE, 0.0, 1.0), default_gain_grid(0, 1, 7))
+        assert math.isnan(dark.visibility[0])  # layout c at s = 0 and gain 0
+        tables = [("two-mode s=0", dark), ("extremes 100%", self.EXTREMES)]
+        args = argparse.Namespace(format=fmt, precision=precision)
+        text = "".join(cli._render_tables(tables, args))
+
+        # csv and tsv lead each row with its curve's label; gnuplot puts it in a comment.
+        expected = [
+            ([] if fmt == "gnuplot" else [label]) + [format(x, f".{precision}g") for x in row]
+            for label, table in tables
+            for row in table.rows
+        ]
+        lines = text.splitlines()[1:]  # past the csv or tsv header, or a gnuplot comment
+        rows = [line.split(cli._SEPARATORS[fmt]) for line in lines if line and line[0] != "#"]
+        assert rows == expected
 
 
 class TestFigureCommand:

@@ -106,6 +106,15 @@ class TestVisibility:
         with pytest.raises(ValueError, match="undefined"):
             visibility(PortCounts(0.0, 0.0))
 
+    def test_block_of_counts(self):
+        outputs = build_scenario(ScenarioConfig("a", KIND_TWO_MODE, np.array([0.25, 0.5]), 1.125))
+        counts = port_count(outputs.port_a, outputs.port_b, QubitInput(1.0, 0.0))
+        rows = zip(counts.count_a.tolist(), counts.count_b.tolist())
+        assert visibility(counts).tolist() == [visibility(PortCounts(a, b)) for a, b in rows]
+        # One dark row leaves the whole block undefined.
+        with pytest.raises(ValueError, match="undefined"):
+            visibility(PortCounts(np.array([1.0, 0.0]), np.array([0.5, 0.0])))
+
     def test_classical_peak_point(self):
         # The entanglement-free channel peaks at gain 1/sqrt(5) where the
         # visibility also equals 1/sqrt(5).

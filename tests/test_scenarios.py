@@ -37,7 +37,7 @@ from mzteleport import (
     visibility,
 )
 from mzteleport import scenarios, teleporter
-from mzteleport.modes import commutator
+from mzteleport.modes import ModeRegistry, annihilator_field, commutator
 from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS, SweepRow
 from mzteleport.teleporter import GAIN_MAX, KINDS, PUMP_GAIN_MAX, check_channel
 
@@ -80,6 +80,8 @@ DOMAIN_SITES = {
         GAIN_MAX,
         f"gain grid|{GAIN_NAME}",
     ),
+    # Half-open: 1 itself is outside too (test_teleporter.py, test_squeezing_conversions).
+    "squeezing": (squeezing_to_H, 0.0, 1.0, "squeezing fraction"),
 }
 OUTSIDE_KINDS = ("below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str")
 
@@ -103,6 +105,7 @@ def outside_value(kind: str, block: bool, low: float, high: float):
         "int array": np.array([int(low), int(low) - 1] if block else [int(low) - 1]),
         "list": [low, below] if block else [below],
         "str": np.array(["half", "half"]) if block else "half",
+        "None": np.array([low, None]) if block else None,
     }[kind]
 
 
@@ -163,7 +166,7 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 120 combinations: enough examples that hypothesis exhausts them all.
+    # 140 combinations: enough examples that hypothesis exhausts them all.
     @settings(max_examples=300, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
@@ -171,6 +174,9 @@ class TestConfigValidation:
         block=st.booleans(),
     )
     @example(site="sweep grid", kind="above", block=True)  # the grid [0.0, 1e200]
+    # None is not among the kinds: for a transmission it means "no attenuator".
+    @example(site="squeezing", kind="None", block=False)
+    @example(site="squeezing", kind="None", block=True)
     def test_rejects_what_lies_outside_the_domain(self, site, kind, block):
         build, low, high, name = DOMAIN_SITES[site]
         with pytest.raises(ValueError, match=name):
@@ -278,6 +284,29 @@ class TestNetworkStructure:
         for field in outputs.port_b:
             assert field.coefficient(signal_h) == (0.0, 0.0)
             assert field.coefficient(signal_v) == (0.0, 0.0)
+
+    # Every layout writes real numbers, so its fields hold Python floats at a
+    # point and float64 arrays over a block: one complex zero (a ``0j``) in
+    # the algebra would turn every coefficient, and every sweep, complex.
+    @pytest.mark.parametrize("layout, source", PAIRS)
+    def test_coefficients_stay_real(self, layout, source):
+        H = 1.0 if source == KIND_CLASSICAL else 1.125
+        eta = ETA_AUTO if layout == "b" else None
+        point = build_scenario(ScenarioConfig(layout, source, 0.5, H, eta))
+        block = build_scenario(ScenarioConfig(layout, source, np.array([0.0, 0.5]), H, eta))
+        for field in point.all_fields:
+            for pair in field.terms.values():
+                assert [type(c) for c in pair] == [float, float]
+        for field in block.all_fields:
+            for pair in field.terms.values():
+                assert [(type(c), c.dtype) for c in pair] == [(np.ndarray, np.float64)] * 2
+
+    def test_composed_channel_is_complex(self):
+        # Its homodyne phase quadrature brings in +/- 1j: a complex number, kept.
+        spec = TeleporterSpec(KIND_TWO_MODE, 0.5, 1.125)
+        signal, _ = ModeRegistry().signal_pair()
+        field = teleporter.teleport_composed(annihilator_field(signal), spec)
+        assert any(type(c) is complex for pair in field.terms.values() for c in pair)
 
     # Elements draw their own ancillas, so none is shared; this physics
     # check stays: a shared one leaves outputs not canonical or not commuting.
