@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import scenarios
 from .scenarios import ETA_AUTO, ScenarioConfig, SweepTable, default_gain_grid, sweep_gain
 from .teleporter import (
     KIND_CLASSICAL,
@@ -57,10 +58,6 @@ FIGURES: dict[str, list[tuple[str, ScenarioConfig]]] = {
 SWEEP_HEADER = ("lambda", "count_a", "count_b", "visibility")
 FIDELITY_HEADER = ("source", "squeezing", "H", "fidelity")
 _SEPARATORS = {"csv": ",", "tsv": "\t", "gnuplot": " "}
-
-# Lines joined into one write: a few hundred kB, so memory stays flat in
-# the table length while the writes stay few.
-WRITE_BLOCK_LINES = 4096
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -255,8 +252,8 @@ def _render_tables(
 
     csv and tsv put every curve under one header, with a leading ``curve``
     column when labelled; gnuplot gives each curve its own commented
-    block, separated by blank lines. Rows come in blocks of
-    :data:`WRITE_BLOCK_LINES`, each one ``%``-format call and one write.
+    block, separated by blank lines. Rows come in the sweep's blocks of
+    :data:`scenarios.SWEEP_BLOCK`, each one ``%``-format call and one write.
     """
     sep = _SEPARATORS[args.format]
     header = sep.join(SWEEP_HEADER) + "\n"
@@ -278,8 +275,8 @@ def _render_tables(
         # one format of the block's lines; a stack of the whole table would
         # hold a second copy of it.
         columns = (table.gains, table.count_a, table.count_b, table.visibility)
-        for start in range(0, len(table.gains), WRITE_BLOCK_LINES):
-            block = slice(start, start + WRITE_BLOCK_LINES)
+        for start in range(0, len(table.gains), scenarios.SWEEP_BLOCK):
+            block = slice(start, start + scenarios.SWEEP_BLOCK)
             rows = np.column_stack([column[block] for column in columns])
             yield (prefix + line) * len(rows) % tuple(rows.ravel().tolist())
 

@@ -56,8 +56,9 @@ ETA_AUTO = "auto"
 # Largest grid default_gain_grid builds, ten times the benchmark's
 # 100001-point sweep: 8 MB of gains, 32 MB for a whole table.
 MAX_GRID_STEPS = 1_000_001
-# Gains per network build in sweep_gain: enough that the build is cheap against
-# the array arithmetic, few enough that a block's fields take a few MB.
+# Gains per network build in sweep_gain, and rows per write in the CLI's
+# tables: enough that the build is cheap against the array arithmetic and
+# the writes stay few, few enough that a block's fields take a few MB.
 SWEEP_BLOCK = 4096
 
 

@@ -23,6 +23,7 @@ from mzteleport import (
     SweepTable,
     cli,
     default_gain_grid,
+    scenarios,
     squeezing_to_H,
     sweep_gain,
 )
@@ -160,15 +161,23 @@ class TestSweepCommand:
                 self.writes += 1
                 return super().write(text)
 
-        argv = ["sweep", "--steps", "5"]
-        _, expected, _ = run_cli(capsys, argv)
-        monkeypatch.setattr(cli, "WRITE_BLOCK_LINES", 2)
-        stream = Recorder()
-        with redirect_stdout(stream):
-            assert main(argv) == 0
-        # The header, then the rows in blocks of 2, 2 and 1.
-        assert stream.writes == 4
-        assert stream.getvalue() == expected
+        # One constant sets the gains per network build and the rows per write:
+        # at every block size the bytes are the default run's, and a sweep writes
+        # its header, then its rows in ceil(5 / block) writes.
+        sweep = ["sweep", "--steps", "5", "--format"]
+        figure = ["figure", "fig3", "--steps", "5", "--format"]
+        for fmt in ("csv", "tsv", "gnuplot"):
+            expected = [run_cli(capsys, argv + [fmt]) for argv in (sweep, figure)]
+            for block in (1, 2, 3):
+                with monkeypatch.context() as patch:
+                    patch.setattr(scenarios, "SWEEP_BLOCK", block)
+                    stream = Recorder()
+                    with redirect_stdout(stream):
+                        assert main(sweep + [fmt]) == 0
+                    labelled = run_cli(capsys, figure + [fmt])
+                assert stream.writes == 1 + math.ceil(5 / block)
+                assert (0, stream.getvalue(), "") == expected[0]
+                assert labelled == expected[1]
 
 
 class TestRenderTables:
@@ -183,13 +192,17 @@ class TestRenderTables:
     @pytest.mark.parametrize("precision", [1, 12, 17])
     @pytest.mark.parametrize("fmt", ["csv", "tsv", "gnuplot"])
     def test_every_cell_is_format_g(self, monkeypatch, fmt, precision):
-        # Blocks of 3 rows: the 7-row curve crosses two block boundaries, the 4-row one one.
-        monkeypatch.setattr(cli, "WRITE_BLOCK_LINES", 3)
         dark = sweep_gain(ScenarioConfig("c", KIND_TWO_MODE, 0.0, 1.0), default_gain_grid(0, 1, 7))
         assert math.isnan(dark.visibility[0])  # layout c at s = 0 and gain 0
         tables = [("two-mode s=0", dark), ("extremes 100%", self.EXTREMES)]
         args = argparse.Namespace(format=fmt, precision=precision)
-        text = "".join(cli._render_tables(tables, args))
+        # Blocks of 1, 2 and 3 rows: the 7-row curve crosses six, three and two
+        # block boundaries, the 4-row one three, one and one. Every size gives one text.
+        texts = set()
+        for block in (1, 2, 3):
+            monkeypatch.setattr(scenarios, "SWEEP_BLOCK", block)
+            texts.add("".join(cli._render_tables(tables, args)))
+        (text,) = texts
 
         # csv and tsv lead each row with its curve's label; gnuplot puts it in a comment.
         expected = [
