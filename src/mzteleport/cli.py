@@ -8,9 +8,11 @@ a failure during evaluation, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import closing
 from dataclasses import replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, NoReturn
 
 import numpy as np
 
@@ -122,12 +124,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     evaluate = _resolve(args.command_parser, args)
     try:
-        blocks = evaluate()
-        if args.out is None:
-            sys.stdout.writelines(blocks)
-        else:
-            with open(args.out, "w", encoding="ascii", newline="\n") as handle:
-                handle.writelines(blocks)
+        # Closed however the writing ends, so a table's formatting worker is reaped.
+        with closing(evaluate()) as blocks:
+            if args.out is None:
+                sys.stdout.writelines(blocks)
+            else:
+                with open(args.out, "w", encoding="ascii", newline="\n") as handle:
+                    handle.writelines(blocks)
     except Exception as exc:  # noqa: BLE001 - map any evaluation failure to exit 1
         print(f"mzteleport: error: {exc}", file=sys.stderr)
         return 1
@@ -182,7 +185,7 @@ def _eta_flag(text: str) -> float | str:
 
 def _resolve(
     parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> Callable[[], Iterable[str]]:
+) -> Callable[[], Generator[str, None, None]]:
     """Check the command's values; return the evaluation that renders them.
 
     Every configuration is built once over its whole grid, which the
@@ -237,48 +240,121 @@ def _cell_format(args: argparse.Namespace) -> str:
     return f"%.{args.precision}g"
 
 
-def _render_line(header: tuple[str, ...], row: tuple, args: argparse.Namespace) -> list[str]:
+def _render_line(
+    header: tuple[str, ...], row: tuple, args: argparse.Namespace
+) -> Generator[str, None, None]:
     """A header line and one row; strings pass through, numbers are formatted."""
     sep = _SEPARATORS[args.format]
     cell = _cell_format(args)
-    cells = (v if isinstance(v, str) else cell % float(v) for v in row)
-    return [sep.join(header) + "\n", sep.join(cells) + "\n"]
+    yield sep.join(header) + "\n"
+    yield sep.join(v if isinstance(v, str) else cell % float(v) for v in row) + "\n"
 
 
 def _render_tables(
     tables: list[tuple[str | None, SweepTable]], args: argparse.Namespace
-) -> Iterator[str]:
+) -> Generator[str, None, None]:
     """Sweep tables as text: a figure's curves are labelled, a sweep's one curve is not.
 
     csv and tsv put every curve under one header, with a leading ``curve``
     column when labelled; gnuplot gives each curve its own commented
     block, separated by blank lines. Rows come in the sweep's blocks of
     :data:`scenarios.SWEEP_BLOCK`, each one ``%``-format call and one write.
+
+    When the tables hold more than one block of rows and this process may
+    run on more than one CPU, a forked worker formats every other block and
+    sends each back through a pipe, in step with this process, which
+    formats the others: each process holds at most one block's text. The
+    worker is reaped when the text ends or the caller closes it early; one
+    that fails raises a ``RuntimeError`` naming it, after the blocks before
+    its failure were produced.
     """
     sep = _SEPARATORS[args.format]
     header = sep.join(SWEEP_HEADER) + "\n"
     line = sep.join([_cell_format(args)] * 4) + "\n"
     gnuplot = args.format == "gnuplot"
+    # The text in output order: a str as it is, or a block of rows as the
+    # (row format, columns, slice) that _format_block formats.
+    pieces: list = []
     if not gnuplot:
-        yield header if tables[0][0] is None else "curve" + sep + header
+        pieces.append(header if tables[0][0] is None else "curve" + sep + header)
     for index, (label, table) in enumerate(tables):
         prefix = ""
         if gnuplot:
             if index:
-                yield "\n"
+                pieces.append("\n")
             if label is not None:
-                yield f"# {label}\n"
-            yield "# " + header
+                pieces.append(f"# {label}\n")
+            pieces.append("# " + header)
         elif label is not None:
             prefix = label.replace("%", "%%") + sep
-        # One block's rows as a flat tuple of Python floats, row by row, for
-        # one format of the block's lines; a stack of the whole table would
-        # hold a second copy of it.
         columns = (table.gains, table.count_a, table.count_b, table.visibility)
         for start in range(0, len(table.gains), scenarios.SWEEP_BLOCK):
             block = slice(start, start + scenarios.SWEEP_BLOCK)
-            rows = np.column_stack([column[block] for column in columns])
-            yield (prefix + line) * len(rows) % tuple(rows.ravel().tolist())
+            pieces.append((prefix + line, columns, block))
+    rows = sum(len(table.gains) for _, table in tables)
+    affinity = getattr(os, "sched_getaffinity", None)
+    if rows <= scenarios.SWEEP_BLOCK or affinity is None or len(affinity(0)) < 2:
+        for piece in pieces:
+            yield piece if isinstance(piece, str) else _format_block(*piece)
+        return
+    blocks = [piece for piece in pieces if not isinstance(piece, str)]
+    # numpy's OpenBLAS stops its thread pool in its fork handler, so the
+    # worker starts with this one thread; it makes no BLAS call.
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if not pid:
+        _format_worker(blocks[1::2], read_end, write_end)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    try:
+        count = 0
+        for piece in pieces:
+            if isinstance(piece, str):
+                yield piece
+                continue
+            if count % 2:
+                size = pipe.read(8)
+                length = int.from_bytes(size, "little")
+                text = pipe.read(length)
+                if len(size) < 8 or len(text) < length:
+                    raise RuntimeError(f"table formatting worker {pid} sent a short block")
+                yield text.decode("utf-8")
+            else:
+                yield _format_block(*piece)
+            count += 1
+    finally:
+        pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise RuntimeError(f"table formatting worker {pid} exited with status {status}")
+
+
+def _format_block(line: str, columns: tuple[np.ndarray, ...], block: slice) -> str:
+    """One block of rows, each ``line`` formatted with its row's four cells."""
+    # The block's rows as a flat tuple of Python floats, row by row, for one
+    # format of all its lines; a stack of the whole table would hold a
+    # second copy of it.
+    rows = np.column_stack([column[block] for column in columns])
+    return line * len(rows) % tuple(rows.ravel().tolist())
+
+
+def _format_worker(blocks: list, read_end: int, write_end: int) -> NoReturn:
+    """A forked worker's whole life: format ``blocks`` and send each, length first.
+
+    It never returns into its caller and flushes nothing it inherited, so no
+    cleanup of the parent's (a buffered stdout, a test's teardown) runs twice.
+    """
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            for block in blocks:
+                text = _format_block(*block).encode("utf-8")
+                pipe.write(len(text).to_bytes(8, "little") + text)
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 if __name__ == "__main__":

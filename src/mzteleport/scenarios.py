@@ -18,6 +18,7 @@ closed form, and :func:`optimize_eta` is that form's visibility argmax.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -57,8 +58,10 @@ ETA_AUTO = "auto"
 # 100001-point sweep: 8 MB of gains, 32 MB for a whole table.
 MAX_GRID_STEPS = 1_000_001
 # Gains per network build in sweep_gain, and rows per write in the CLI's
-# tables: enough that the build is cheap against the array arithmetic and
-# the writes stay few, few enough that a block's fields take a few MB.
+# tables, which is also the unit that the CLI's two formatting processes
+# hand between them: enough that the build is cheap against the array
+# arithmetic and the writes stay few, few enough that a block's fields,
+# or its text, take a few MB.
 SWEEP_BLOCK = 4096
 
 
@@ -215,7 +218,10 @@ class SweepTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gains", _gain_column(self.gains))
         for name in ("count_a", "count_b", "visibility"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            column = np.asarray(getattr(self, name), dtype=np.float64)
+            if column.ndim != 1:
+                raise ValueError(f"sweep column {name} must be one-dimensional")
+            object.__setattr__(self, name, column)
         columns = (self.gains, self.count_a, self.count_b, self.visibility)
         if len({len(column) for column in columns}) != 1:
             raise ValueError("sweep columns must have equal lengths")
@@ -274,17 +280,19 @@ def _gain_column(gain_grid: Sequence[float] | np.ndarray) -> np.ndarray:
 def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -> np.ndarray:
     """The standard sweep grid: ``steps`` evenly spaced gains on [start, stop].
 
-    The ends and their distance must be finite and ``2 <= steps <=
-    MAX_GRID_STEPS``; these are checked before any memory is allocated.
-    A step below the float resolution at the ends, which would repeat a
-    gain, is rejected too.
+    The ends must be real numbers, the ends and their distance finite, and
+    ``steps`` an integer with ``2 <= steps <= MAX_GRID_STEPS``; these are
+    checked before any memory is allocated. A step below the float
+    resolution at the ends, which would repeat a gain, is rejected too.
     """
-    if not 2 <= steps <= MAX_GRID_STEPS:
+    if not (isinstance(steps, numbers.Integral) and 2 <= steps <= MAX_GRID_STEPS):
         raise ValueError(
-            f"a gain grid needs at least 2 and at most {MAX_GRID_STEPS} points, got {steps!r}"
+            f"a gain grid needs at least 2 and at most {MAX_GRID_STEPS} points "
+            f"(an integer number of steps), got {steps!r}"
         )
-    if not -math.inf < start < stop < math.inf:
-        raise ValueError(f"grid needs finite start < stop, got [{start!r}, {stop!r}]")
+    real = isinstance(start, numbers.Real) and isinstance(stop, numbers.Real)
+    if not (real and -math.inf < start < stop < math.inf):
+        raise ValueError(f"grid needs real, finite start < stop, got [{start!r}, {stop!r}]")
     if not math.isfinite(stop - start):
         raise ValueError(f"grid span from {start!r} to {stop!r} overflows a float")
     grid = np.linspace(start, stop, steps)

@@ -6,6 +6,10 @@ import argparse
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -41,6 +45,25 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls made while the test runs: the pid of each caller."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def on_cpus(patch, count):
+    """Let the affinity check that chooses the table's render path see ``count`` CPUs."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class TestSweepCommand:
@@ -153,7 +176,7 @@ class TestSweepCommand:
         assert f"must be >= 0 and <= {GAIN_MAX!r}" in captured.err
         assert not path.exists()
 
-    def test_output_is_written_in_blocks(self, capsys, monkeypatch):
+    def test_output_is_written_in_blocks(self, capsys, monkeypatch, forks):
         class Recorder(io.StringIO):
             writes = 0
 
@@ -162,22 +185,31 @@ class TestSweepCommand:
                 return super().write(text)
 
         # One constant sets the gains per network build and the rows per write:
-        # at every block size the bytes are the default run's, and a sweep writes
-        # its header, then its rows in ceil(5 / block) writes.
+        # at every block size, on one CPU or two, the bytes are the default run's,
+        # and a sweep writes its header, then its rows in ceil(5 / block) writes.
+        # A worker formats every other block exactly when the rows (5 for the
+        # sweep, 20 for the figure) exceed one block and two CPUs are seen.
         sweep = ["sweep", "--steps", "5", "--format"]
         figure = ["figure", "fig3", "--steps", "5", "--format"]
         for fmt in ("csv", "tsv", "gnuplot"):
-            expected = [run_cli(capsys, argv + [fmt]) for argv in (sweep, figure)]
+            with monkeypatch.context() as patch:
+                on_cpus(patch, 2)
+                expected = [run_cli(capsys, argv + [fmt]) for argv in (sweep, figure)]
+            assert not forks
             for block in (1, 2, 3):
-                with monkeypatch.context() as patch:
-                    patch.setattr(scenarios, "SWEEP_BLOCK", block)
-                    stream = Recorder()
-                    with redirect_stdout(stream):
-                        assert main(sweep + [fmt]) == 0
-                    labelled = run_cli(capsys, figure + [fmt])
-                assert stream.writes == 1 + math.ceil(5 / block)
-                assert (0, stream.getvalue(), "") == expected[0]
-                assert labelled == expected[1]
+                for cpus in (1, 2):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(scenarios, "SWEEP_BLOCK", block)
+                        on_cpus(patch, cpus)
+                        stream = Recorder()
+                        with redirect_stdout(stream):
+                            assert main(sweep + [fmt]) == 0
+                        labelled = run_cli(capsys, figure + [fmt])
+                    assert stream.writes == 1 + math.ceil(5 / block)
+                    assert (0, stream.getvalue(), "") == expected[0]
+                    assert labelled == expected[1]
+                    assert len(forks) == (2 if cpus == 2 else 0)
+                    forks.clear()
 
 
 class TestRenderTables:
@@ -191,18 +223,22 @@ class TestRenderTables:
 
     @pytest.mark.parametrize("precision", [1, 12, 17])
     @pytest.mark.parametrize("fmt", ["csv", "tsv", "gnuplot"])
-    def test_every_cell_is_format_g(self, monkeypatch, fmt, precision):
+    def test_every_cell_is_format_g(self, monkeypatch, forks, fmt, precision):
         dark = sweep_gain(ScenarioConfig("c", KIND_TWO_MODE, 0.0, 1.0), default_gain_grid(0, 1, 7))
         assert math.isnan(dark.visibility[0])  # layout c at s = 0 and gain 0
         tables = [("two-mode s=0", dark), ("extremes 100%", self.EXTREMES)]
         args = argparse.Namespace(format=fmt, precision=precision)
         # Blocks of 1, 2 and 3 rows: the 7-row curve crosses six, three and two
-        # block boundaries, the 4-row one three, one and one. Every size gives one text.
+        # block boundaries, the 4-row one three, one and one. Every size gives
+        # one text, formatted in one process or, with two CPUs, in two.
         texts = set()
         for block in (1, 2, 3):
-            monkeypatch.setattr(scenarios, "SWEEP_BLOCK", block)
-            texts.add("".join(cli._render_tables(tables, args)))
+            for cpus in (1, 2):
+                monkeypatch.setattr(scenarios, "SWEEP_BLOCK", block)
+                on_cpus(monkeypatch, cpus)
+                texts.add("".join(cli._render_tables(tables, args)))
         (text,) = texts
+        assert len(forks) == 3
 
         # csv and tsv lead each row with its curve's label; gnuplot puts it in a comment.
         expected = [
@@ -213,6 +249,64 @@ class TestRenderTables:
         lines = text.splitlines()[1:]  # past the csv or tsv header, or a gnuplot comment
         rows = [line.split(cli._SEPARATORS[fmt]) for line in lines if line and line[0] != "#"]
         assert rows == expected
+
+    def test_worker_failure_and_early_close_reap_the_worker(self, capsys, monkeypatch, forks):
+        on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "SWEEP_BLOCK", 2)
+        argv = ["sweep", "--steps", "5"]
+        full = run_cli(capsys, argv)[1]
+        assert len(forks) == 1
+        # The warnings a fork in a threaded process raises (Python 3.12) are errors here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, argv) == (0, full, "")
+
+        # Formatting fails in the worker only: main exits 1 and names it, after
+        # the blocks before the worker's first were written.
+        format_block, parent = cli._format_block, os.getpid()
+
+        def failing_in_worker(*block):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return format_block(*block)
+
+        monkeypatch.setattr(cli, "_format_block", failing_in_worker)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("mzteleport: error: table formatting worker ")
+        assert err.endswith(" sent a short block\n")
+        assert full.startswith(out) and out.count("\n") == 1 + 2
+
+        # A consumer that stops after the first piece closes the text; the
+        # worker, still sending its 1000 blocks, is reaped all the same.
+        grid = default_gain_grid(0.0, 1.5, 4001)
+        table = SweepTable(grid, grid, grid, grid)
+        pieces = cli._render_tables([(None, table)], argparse.Namespace(format="csv", precision=12))
+        assert next(pieces) == SWEEP_HEADER + "\n"
+        pieces.close()
+        assert len(forks) == 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_reader_that_stops_early_leaves_no_process(self):
+        # A 100001-point sweep on two CPUs, in a session of its own, whose
+        # reader closes after its header: once it exits, no member of its
+        # process group, such as its formatting worker, is left.
+        script = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from mzteleport.cli import main; sys.exit(main())"
+        )
+        argv = [sys.executable, "-c", script, "sweep", "--steps", "100001"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True
+        ) as proc:
+            assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
+            proc.stdout.close()
+            proc.wait(timeout=60)
+            assert b"Broken pipe" in proc.stderr.read()
+        assert proc.returncode != 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestFigureCommand:

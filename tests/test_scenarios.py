@@ -82,6 +82,9 @@ DOMAIN_SITES = {
     ),
     # Half-open: 1 itself is outside too (test_teleporter.py, test_squeezing_conversions).
     "squeezing": (squeezing_to_H, 0.0, 1.0, "squeezing fraction"),
+    # An integer number of points, and a real end above the grid's start.
+    "grid steps": (lambda x: default_gain_grid(0.0, 1.5, x), 2, MAX_GRID_STEPS, "steps"),
+    "grid stop": (lambda x: default_gain_grid(0.0, x), 0.0, math.inf, "start < stop"),
 }
 OUTSIDE_KINDS = ("below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str")
 
@@ -166,7 +169,7 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 140 combinations: enough examples that hypothesis exhausts them all.
+    # 180 combinations: enough examples that hypothesis exhausts them all.
     @settings(max_examples=300, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
@@ -177,6 +180,8 @@ class TestConfigValidation:
     # None is not among the kinds: for a transmission it means "no attenuator".
     @example(site="squeezing", kind="None", block=False)
     @example(site="squeezing", kind="None", block=True)
+    @example(site="grid steps", kind="None", block=False)
+    @example(site="grid stop", kind="None", block=False)
     def test_rejects_what_lies_outside_the_domain(self, site, kind, block):
         build, low, high, name = DOMAIN_SITES[site]
         with pytest.raises(ValueError, match=name):
@@ -471,6 +476,15 @@ class TestSweep:
             default_gain_grid(-1e308, 1e308, 3)
         with pytest.raises(ValueError, match="below float resolution"):
             default_gain_grid(1.0, 1.000000000000001, 100)
+        # A number of steps that is not an integer, or an end that is not a
+        # real number, is named; a numpy integer is an integer.
+        for steps in (2.5, "5", None, np.float64(5.0)):
+            with pytest.raises(ValueError, match="integer number of steps"):
+                default_gain_grid(0, 1.5, steps)
+        for start, stop in (("0", 1.5), (0, None)):
+            with pytest.raises(ValueError, match="real, finite start < stop"):
+                default_gain_grid(start, stop)
+        assert default_gain_grid(0, 1.5, np.int64(3)).tolist() == [0.0, 0.75, 1.5]
 
     # Every route stays finite on the whole admitted domain: a log-uniform
     # draw of gain and H - 1, and the domain's four corners. A numpy
@@ -530,6 +544,13 @@ class TestSweep:
         gains = array("d", [1.0, math.nan, 0.5])
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepTable(gains, gains, gains, gains)
+        # A count or visibility column that is not 1-D would render as a list.
+        for name in ("count_a", "count_b", "visibility"):
+            for bad in ([[1, 2], [3, 4]], 1.0):
+                columns = dict(gains=[0.0, 1.0], count_a=[1, 2], count_b=[1, 2], visibility=[0, 0])
+                columns[name] = bad
+                with pytest.raises(ValueError, match=f"{name} must be one-dimensional"):
+                    SweepTable(**columns)
 
     def test_peak_prefers_earliest_tie(self):
         gains = array("d", [0.0, 0.5, 1.0, 1.5])
