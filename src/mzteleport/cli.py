@@ -2,7 +2,8 @@
 
 All physics lives in the library modules; this layer only parses flags,
 composes library calls, and formats rows. Exit codes: 0 on success, 1 on
-a failure during evaluation, 2 on a usage error.
+a failure during evaluation, 2 on a usage error, 141 when the reader of
+stdout closes it early.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import replace
-from typing import Callable, Generator, NoReturn
+from typing import Generator, NoReturn
 
 import numpy as np
 
@@ -120,18 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    evaluate = _resolve(args.command_parser, args)
+    args = build_parser().parse_args(argv)
     try:
         # Closed however the writing ends, so a table's formatting worker is reaped.
-        with closing(evaluate()) as blocks:
+        with closing(_resolve(args.command_parser, args)) as text:
             if args.out is None:
-                sys.stdout.writelines(blocks)
+                sys.stdout.writelines(text)
             else:
                 with open(args.out, "w", encoding="ascii", newline="\n") as handle:
-                    handle.writelines(blocks)
+                    handle.writelines(text)
     except Exception as exc:  # noqa: BLE001 - map any evaluation failure to exit 1
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # The reader stopped early, as ``head`` does: exit as SIGPIPE stops a filter,
+            # with the interpreter's last flush sent to devnull (if stdout has a descriptor).
+            with suppress(OSError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 141
         print(f"mzteleport: error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -185,16 +190,15 @@ def _eta_flag(text: str) -> float | str:
 
 def _resolve(
     parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> Callable[[], Generator[str, None, None]]:
-    """Check the command's values; return the evaluation that renders them.
+) -> Generator[str, None, None]:
+    """Check the command's values, evaluate them, and return their text.
 
     Every configuration is built once over its whole grid, which the
     library checks at its ends. The library checks every range, so the
     command line accepts exactly what the library accepts; a value it
     rejects is a usage error, as is a precision the formatter rejects,
-    reported through ``parser``, the command's own. The evaluation completes
-    every table before it returns the text, so an evaluation failure writes
-    nothing.
+    reported through ``parser``, the command's own. Every table is
+    evaluated before this returns, so an evaluation failure writes nothing.
     """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
@@ -202,31 +206,27 @@ def _resolve(
         _cell_format(args) % 0.0
         if args.command == "fidelity":
             spec = TeleporterSpec(_SOURCE_BY_FLAG[args.source], 1.0, _pump_gain(args))
-            return lambda: _render_line(
-                FIDELITY_HEADER,
-                (spec.kind, H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec)),
-                args,
-            )
-        grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
-        if args.command == "classical-max":
-            curves = [(None, ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0))]
-        elif args.command == "figure":
-            curves = FIGURES[args.name]
         else:
-            eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
-            source = _SOURCE_BY_FLAG[args.source]
-            curves = [(None, ScenarioConfig(args.scenario, source, 0.0, _pump_gain(args), eta))]
-        for _, config in curves:
-            replace(config, gain=grid)
+            grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
+            if args.command == "classical-max":
+                curves = [(None, ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0))]
+            elif args.command == "figure":
+                curves = FIGURES[args.name]
+            else:
+                eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
+                source, pump = _SOURCE_BY_FLAG[args.source], _pump_gain(args)
+                curves = [(None, ScenarioConfig(args.scenario, source, 0.0, pump, eta))]
+            for _, config in curves:
+                replace(config, gain=grid)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.command == "fidelity":
+        row = (spec.kind, H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec))
+        return _render_line(FIDELITY_HEADER, row, args)
     if args.command == "classical-max":
-        return lambda: _render_line(
-            ("lambda_max", "visibility_max"), sweep_gain(curves[0][1], grid).peak()[::3], args
-        )
-    return lambda: _render_tables(
-        [(label, sweep_gain(config, grid)) for label, config in curves], args
-    )
+        peak = sweep_gain(curves[0][1], grid).peak()[::3]
+        return _render_line(("lambda_max", "visibility_max"), peak, args)
+    return _render_tables([(label, sweep_gain(config, grid)) for label, config in curves], args)
 
 
 def _pump_gain(args: argparse.Namespace) -> float:
@@ -243,11 +243,11 @@ def _cell_format(args: argparse.Namespace) -> str:
 def _render_line(
     header: tuple[str, ...], row: tuple, args: argparse.Namespace
 ) -> Generator[str, None, None]:
-    """A header line and one row; strings pass through, numbers are formatted."""
+    """A header line and one row, as one piece; strings pass through, numbers are formatted."""
     sep = _SEPARATORS[args.format]
     cell = _cell_format(args)
-    yield sep.join(header) + "\n"
-    yield sep.join(v if isinstance(v, str) else cell % float(v) for v in row) + "\n"
+    cells = sep.join(v if isinstance(v, str) else cell % float(v) for v in row)
+    yield sep.join(header) + "\n" + cells + "\n"
 
 
 def _render_tables(
@@ -258,7 +258,8 @@ def _render_tables(
     csv and tsv put every curve under one header, with a leading ``curve``
     column when labelled; gnuplot gives each curve its own commented
     block, separated by blank lines. Rows come in the sweep's blocks of
-    :data:`scenarios.SWEEP_BLOCK`, each one ``%``-format call and one write.
+    :data:`scenarios.SWEEP_BLOCK`, each one ``%``-format call and one write,
+    which carries the header or comment lines that precede it.
 
     When the tables hold more than one block of rows and this process may
     run on more than one CPU, a forked worker formats every other block and
@@ -272,32 +273,28 @@ def _render_tables(
     header = sep.join(SWEEP_HEADER) + "\n"
     line = sep.join([_cell_format(args)] * 4) + "\n"
     gnuplot = args.format == "gnuplot"
-    # The text in output order: a str as it is, or a block of rows as the
-    # (row format, columns, slice) that _format_block formats.
-    pieces: list = []
-    if not gnuplot:
-        pieces.append(header if tables[0][0] is None else "curve" + sep + header)
+    # Each block of rows as the (lead, row format, columns, slice) that
+    # _format_block formats, where lead is the text that precedes its rows.
+    blocks = []
+    lead = "" if gnuplot else header if tables[0][0] is None else "curve" + sep + header
     for index, (label, table) in enumerate(tables):
         prefix = ""
         if gnuplot:
-            if index:
-                pieces.append("\n")
-            if label is not None:
-                pieces.append(f"# {label}\n")
-            pieces.append("# " + header)
+            comment = "" if label is None else f"# {label}\n"
+            lead = ("\n" if index else "") + comment + "# " + header
         elif label is not None:
             prefix = label.replace("%", "%%") + sep
         columns = (table.gains, table.count_a, table.count_b, table.visibility)
         for start in range(0, len(table.gains), scenarios.SWEEP_BLOCK):
             block = slice(start, start + scenarios.SWEEP_BLOCK)
-            pieces.append((prefix + line, columns, block))
+            blocks.append((lead, prefix + line, columns, block))
+            lead = ""
     rows = sum(len(table.gains) for _, table in tables)
     affinity = getattr(os, "sched_getaffinity", None)
     if rows <= scenarios.SWEEP_BLOCK or affinity is None or len(affinity(0)) < 2:
-        for piece in pieces:
-            yield piece if isinstance(piece, str) else _format_block(*piece)
+        for block in blocks:
+            yield _format_block(*block)
         return
-    blocks = [piece for piece in pieces if not isinstance(piece, str)]
     # numpy's OpenBLAS stops its thread pool in its fork handler, so the
     # worker starts with this one thread; it makes no BLAS call.
     read_end, write_end = os.pipe()
@@ -307,21 +304,16 @@ def _render_tables(
     os.close(write_end)
     pipe = open(read_end, "rb")
     try:
-        count = 0
-        for piece in pieces:
-            if isinstance(piece, str):
-                yield piece
+        for index, block in enumerate(blocks):
+            if not index % 2:
+                yield _format_block(*block)
                 continue
-            if count % 2:
-                size = pipe.read(8)
-                length = int.from_bytes(size, "little")
-                text = pipe.read(length)
-                if len(size) < 8 or len(text) < length:
-                    raise RuntimeError(f"table formatting worker {pid} sent a short block")
-                yield text.decode("utf-8")
-            else:
-                yield _format_block(*piece)
-            count += 1
+            size = pipe.read(8)
+            length = int.from_bytes(size, "little")
+            text = pipe.read(length)
+            if len(size) < 8 or len(text) < length:
+                raise RuntimeError(f"table formatting worker {pid} sent a short block")
+            yield text.decode("utf-8")
     finally:
         pipe.close()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -329,13 +321,13 @@ def _render_tables(
         raise RuntimeError(f"table formatting worker {pid} exited with status {status}")
 
 
-def _format_block(line: str, columns: tuple[np.ndarray, ...], block: slice) -> str:
-    """One block of rows, each ``line`` formatted with its row's four cells."""
+def _format_block(lead: str, line: str, columns: tuple[np.ndarray, ...], block: slice) -> str:
+    """``lead``, then one block of rows, each ``line`` formatted with its row's four cells."""
     # The block's rows as a flat tuple of Python floats, row by row, for one
     # format of all its lines; a stack of the whole table would hold a
-    # second copy of it.
+    # second copy of it. lead stays out of the format: a label may hold a %.
     rows = np.column_stack([column[block] for column in columns])
-    return line * len(rows) % tuple(rows.ravel().tolist())
+    return lead + line * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _format_worker(blocks: list, read_end: int, write_end: int) -> NoReturn:

@@ -50,18 +50,25 @@ class PortCounts:
     count_b: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_is_count(self.count_a) and _is_count(self.count_b)):
+        a, b = self.count_a, self.count_b
+        blocks = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        if not (_is_count(a) and _is_count(b)) or blocks and len(a) != len(b):
             raise ValueError(
-                "photon counts must be finite and non-negative, "
-                f"got {self.count_a!r} and {self.count_b!r}"
+                "photon counts must be finite and non-negative numbers or non-empty "
+                f"1-D blocks of one length, got {a!r} and {b!r}"
             )
 
 
 def _is_count(count: float | np.ndarray) -> bool:
-    """``0 <= count < inf``; a block is checked at its minimum and maximum, which a NaN fails."""
-    if isinstance(count, np.ndarray):
-        return 0.0 <= count.min() and count.max() < math.inf
-    return 0.0 <= count < math.inf
+    """``0 <= count < inf`` for one number, or a non-empty 1-D block checked at its minimum
+    and maximum, which a NaN fails; a value that does not compare with a float is none."""
+    try:
+        if isinstance(count, np.ndarray):
+            shaped = count.ndim == 1 and count.size > 0
+            return shaped and 0.0 <= count.min() and count.max() < math.inf
+        return 0.0 <= count < math.inf
+    except TypeError:
+        return False
 
 
 def photon_flux(field: LinearField, state: QubitInput) -> float:

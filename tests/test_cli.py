@@ -184,9 +184,17 @@ class TestSweepCommand:
                 self.writes += 1
                 return super().write(text)
 
+        def written(argv):
+            stream = Recorder()
+            with redirect_stdout(stream):
+                assert main(argv) == 0
+            return stream.getvalue(), stream.writes
+
         # One constant sets the gains per network build and the rows per write:
-        # at every block size, on one CPU or two, the bytes are the default run's,
-        # and a sweep writes its header, then its rows in ceil(5 / block) writes.
+        # at every block size, on one CPU or two, the bytes are the default run's.
+        # Every write is one block, which carries the header or comment lines
+        # before it: a sweep makes ceil(5 / block) writes, fig3's four curves
+        # four times as many, and a one-line report one write.
         # A worker formats every other block exactly when the rows (5 for the
         # sweep, 20 for the figure) exceed one block and two CPUs are seen.
         sweep = ["sweep", "--steps", "5", "--format"]
@@ -194,22 +202,21 @@ class TestSweepCommand:
         for fmt in ("csv", "tsv", "gnuplot"):
             with monkeypatch.context() as patch:
                 on_cpus(patch, 2)
-                expected = [run_cli(capsys, argv + [fmt]) for argv in (sweep, figure)]
+                expected = [written(argv + [fmt])[0] for argv in (sweep, figure)]
             assert not forks
             for block in (1, 2, 3):
                 for cpus in (1, 2):
                     with monkeypatch.context() as patch:
                         patch.setattr(scenarios, "SWEEP_BLOCK", block)
                         on_cpus(patch, cpus)
-                        stream = Recorder()
-                        with redirect_stdout(stream):
-                            assert main(sweep + [fmt]) == 0
-                        labelled = run_cli(capsys, figure + [fmt])
-                    assert stream.writes == 1 + math.ceil(5 / block)
-                    assert (0, stream.getvalue(), "") == expected[0]
-                    assert labelled == expected[1]
+                        writes = math.ceil(5 / block)
+                        assert written(sweep + [fmt]) == (expected[0], writes)
+                        assert written(figure + [fmt]) == (expected[1], 4 * writes)
                     assert len(forks) == (2 if cpus == 2 else 0)
                     forks.clear()
+            for argv in (["fidelity"], ["classical-max", "--steps", "5"]):
+                assert written(argv + ["--format", fmt])[1] == 1
+        assert capsys.readouterr() == ("", "")
 
 
 class TestRenderTables:
@@ -277,12 +284,14 @@ class TestRenderTables:
         assert err.endswith(" sent a short block\n")
         assert full.startswith(out) and out.count("\n") == 1 + 2
 
-        # A consumer that stops after the first piece closes the text; the
-        # worker, still sending its 1000 blocks, is reaped all the same.
+        # A consumer that stops after the first piece, the header and the first
+        # block's rows, closes the text; the worker, still sending its 1000
+        # blocks, is reaped all the same.
         grid = default_gain_grid(0.0, 1.5, 4001)
         table = SweepTable(grid, grid, grid, grid)
         pieces = cli._render_tables([(None, table)], argparse.Namespace(format="csv", precision=12))
-        assert next(pieces) == SWEEP_HEADER + "\n"
+        rows = "".join(",".join([format(gain, ".12g")] * 4) + "\n" for gain in grid[:2])
+        assert next(pieces) == SWEEP_HEADER + "\n" + rows
         pieces.close()
         assert len(forks) == 4
         with pytest.raises(ChildProcessError):
@@ -290,8 +299,9 @@ class TestRenderTables:
 
     def test_reader_that_stops_early_leaves_no_process(self):
         # A 100001-point sweep on two CPUs, in a session of its own, whose
-        # reader closes after its header: once it exits, no member of its
-        # process group, such as its formatting worker, is left.
+        # reader closes after its header: it exits quietly with the status of
+        # a filter that SIGPIPE stopped, and no member of its process group,
+        # such as its formatting worker, is left.
         script = (
             "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
             "from mzteleport.cli import main; sys.exit(main())"
@@ -303,8 +313,8 @@ class TestRenderTables:
             assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
             proc.stdout.close()
             proc.wait(timeout=60)
-            assert b"Broken pipe" in proc.stderr.read()
-        assert proc.returncode != 0
+            assert proc.stderr.read() == b""
+        assert proc.returncode == 141
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 

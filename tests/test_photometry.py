@@ -85,6 +85,9 @@ class TestPortCount:
                     PortCounts(count, 1.0)
                 with pytest.raises(ValueError, match="finite and non-negative"):
                     PortCounts(1.0, count)
+        # Two blocks of counts over one block of gains have one length.
+        with pytest.raises(ValueError, match="photon counts"):
+            PortCounts(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
         PortCounts(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
 
     def test_non_finite_count_rejected_once(self):

@@ -20,6 +20,7 @@ from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
+    PortCounts,
     QubitInput,
     ScenarioConfig,
     SweepTable,
@@ -85,6 +86,7 @@ DOMAIN_SITES = {
     # An integer number of points, and a real end above the grid's start.
     "grid steps": (lambda x: default_gain_grid(0.0, 1.5, x), 2, MAX_GRID_STEPS, "steps"),
     "grid stop": (lambda x: default_gain_grid(0.0, x), 0.0, math.inf, "start < stop"),
+    "port counts": (lambda x: PortCounts(x, x), 0.0, math.inf, "photon counts"),
 }
 OUTSIDE_KINDS = ("below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str")
 
@@ -169,7 +171,7 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 180 combinations: enough examples that hypothesis exhausts them all.
+    # 200 combinations: enough examples that hypothesis exhausts them all.
     @settings(max_examples=300, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
@@ -182,6 +184,8 @@ class TestConfigValidation:
     @example(site="squeezing", kind="None", block=True)
     @example(site="grid steps", kind="None", block=False)
     @example(site="grid stop", kind="None", block=False)
+    @example(site="port counts", kind="None", block=False)
+    @example(site="port counts", kind="None", block=True)
     def test_rejects_what_lies_outside_the_domain(self, site, kind, block):
         build, low, high, name = DOMAIN_SITES[site]
         with pytest.raises(ValueError, match=name):
