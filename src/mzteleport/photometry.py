@@ -10,12 +10,14 @@ arrangement a state-blind test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .modes import LinearField
+from .teleporter import _check_range
 
 __all__ = ["QubitInput", "PortCounts", "photon_flux", "port_count", "visibility"]
 
@@ -25,14 +27,16 @@ _NORMALIZATION_TOL = 1e-12
 @dataclass(frozen=True)
 class QubitInput:
     """Polarization amplitudes: ``x`` on the horizontal signal mode, ``y`` on
-    the vertical one; everything else is vacuum. Must be normalized."""
+    the vertical one; everything else is vacuum. One number each, normalized."""
 
     x: complex
     y: complex
 
     def __post_init__(self) -> None:
-        # Squared parts, not abs(): a modulus past the float range is then inf, not OverflowError.
         x, y = self.x, self.y
+        if not (isinstance(x, numbers.Number) and isinstance(y, numbers.Number)):
+            raise ValueError(f"qubit amplitudes must be one number each, got {x!r} and {y!r}")
+        # Squared parts, not abs(): a modulus past the float range is then inf, not OverflowError.
         norm = x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
         if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(f"qubit amplitudes are not normalized: |x|^2+|y|^2 = {norm!r}")
@@ -43,32 +47,19 @@ HORIZONTAL = QubitInput(1.0, 0.0)
 
 @dataclass(frozen=True)
 class PortCounts:
-    """Expected photons per trial at the two interferometer outputs, or arrays
-    of them over a block of gains."""
+    """Expected photons per trial at the two interferometer outputs: finite, non-negative
+    numbers, or blocks of them of one length over a block of gains, as
+    :func:`teleporter._check_range` decides."""
 
     count_a: float | np.ndarray
     count_b: float | np.ndarray
 
     def __post_init__(self) -> None:
         a, b = self.count_a, self.count_b
-        blocks = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-        if not (_is_count(a) and _is_count(b)) or blocks and len(a) != len(b):
-            raise ValueError(
-                "photon counts must be finite and non-negative numbers or non-empty "
-                f"1-D blocks of one length, got {a!r} and {b!r}"
-            )
-
-
-def _is_count(count: float | np.ndarray) -> bool:
-    """``0 <= count < inf`` for one number, or a non-empty 1-D block checked at its minimum
-    and maximum, which a NaN fails; a value that does not compare with a float is none."""
-    try:
-        if isinstance(count, np.ndarray):
-            shaped = count.ndim == 1 and count.size > 0
-            return shaped and 0.0 <= count.min() and count.max() < math.inf
-        return 0.0 <= count < math.inf
-    except TypeError:
-        return False
+        for count in (a, b):
+            _check_range(count, 0.0, math.inf, "photon counts must be finite and non-negative")
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and len(a) != len(b):
+            raise ValueError(f"photon counts must be blocks of one length: {len(a)} != {len(b)}")
 
 
 def photon_flux(field: LinearField, state: QubitInput) -> float:

@@ -218,9 +218,7 @@ class SweepTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gains", _gain_column(self.gains))
         for name in ("count_a", "count_b", "visibility"):
-            column = np.asarray(getattr(self, name), dtype=np.float64)
-            if column.ndim != 1:
-                raise ValueError(f"sweep column {name} must be one-dimensional")
+            column = _real_column(getattr(self, name), f"sweep column {name}")
             object.__setattr__(self, name, column)
         columns = (self.gains, self.count_a, self.count_b, self.visibility)
         if len({len(column) for column in columns}) != 1:
@@ -261,15 +259,21 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
     return SweepTable(gains, count_a, count_b, fringes)
 
 
+def _real_column(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
+    """``values`` as a 1-D float64 array; a complex, string or object one is rejected, not cast."""
+    try:
+        column = np.asarray(values).astype(np.float64, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a sequence of real numbers: {exc}") from None
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    return column
+
+
 def _gain_column(gain_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     """A read-only float64 view of a non-empty, strictly increasing gain grid."""
-    try:
-        gains = np.asarray(gain_grid, dtype=np.float64).view()
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"gain grid must be a sequence of numbers: {exc}") from None
+    gains = _real_column(gain_grid, "gain grid").view()
     gains.flags.writeable = False
-    if gains.ndim != 1:
-        raise ValueError("gain grid must be one-dimensional")
     if not gains.size:
         raise ValueError("gain grid is empty")
     if not (gains[1:] > gains[:-1]).all():

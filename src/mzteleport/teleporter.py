@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf  # bound at import: the exact-math proofs replace this module's math
 
 import numpy as np
 
@@ -63,24 +64,13 @@ def check_pump_gain(H: float) -> None:
 def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
     """Reject a channel operating point outside the admitted domain.
 
-    ``kind`` must be one of :data:`KINDS`, ``gain`` in ``[0, GAIN_MAX]``
-    and ``H`` a valid pump gain, exactly 1 for the classical kind. An array
-    of gains must be non-empty, 1-D and float64, and is checked at its
-    minimum and maximum, which a NaN fails.
+    ``kind`` must be one of :data:`KINDS`, ``gain`` one number or a block of gains
+    in ``[0, GAIN_MAX]`` (:func:`_check_range`), and ``H`` a valid pump gain,
+    exactly 1 for the classical kind.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {KINDS}")
-    ends = (gain,)
-    if isinstance(gain, np.ndarray):
-        if gain.dtype != np.float64 or gain.ndim != 1 or not gain.size:
-            raise ValueError(
-                "a block of feedforward gains must be a non-empty 1-D float64 array, "
-                f"got {gain.dtype} of shape {gain.shape}"
-            )
-        ends = (float(gain.min()), float(gain.max()))
-    for end in ends:
-        if not _within(0.0, end, GAIN_MAX):
-            raise ValueError(f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}, got {end!r}")
+    _check_range(gain, 0.0, GAIN_MAX, f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}")
     check_pump_gain(H)
     if kind == KIND_CLASSICAL and H != 1.0:
         raise ValueError(
@@ -89,14 +79,29 @@ def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
 
 
 def _within(low: float, value, high: float) -> bool:
-    """``low <= value <= high`` for one number; an array, or a value that does
-    not compare with a float (a list, a ``str``, ``None``), lies outside."""
+    """``low <= value <= high`` for one number, the rule of a pump gain, transmission or
+    squeezing fraction; an array, or a value that does not compare with a float, lies outside."""
     if isinstance(value, np.ndarray):
         return False
     try:
         return low <= value <= high
     except TypeError:
         return False
+
+
+def _check_range(value, low: float, high: float, rule: str) -> None:
+    """Reject ``value`` unless it is one finite number in ``[low, high]`` (by :func:`_within`,
+    with no numpy call) or a non-empty 1-D float64 block whose minimum and maximum are, which
+    a NaN fails: the rule of a gain and of a photon count. ``rule`` opens the message."""
+    ends = (value,)
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim != 1 or not value.size:
+            shape = f"{value.dtype} of shape {value.shape}"
+            raise ValueError(f"{rule}, as one number or a non-empty 1-D float64 block; got {shape}")
+        ends = (float(value.min()), float(value.max()))
+    for end in ends:
+        if not (_within(low, end, high) and end < inf):
+            raise ValueError(f"{rule}, got {end!r}")
 
 
 @dataclass(frozen=True)

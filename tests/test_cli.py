@@ -297,6 +297,37 @@ class TestRenderTables:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize(
+        "cut, status, message, lines",
+        [(1, 0, "sent a short block", 1 + 2), (0, 1, "exited with status 1", 1 + 4)],
+    )
+    def test_worker_that_fails_quietly_is_named(
+        self, capsys, monkeypatch, forks, cut, status, message, lines
+    ):
+        # The worker formats the second and last of two blocks, and sends it
+        # one byte short and exits 0, or sends it whole and exits 1: only the
+        # parent's length check sees the first, only its status check the second.
+        def worker(blocks, read_end, write_end):
+            try:
+                (block,) = blocks
+                text = cli._format_block(*block).encode("utf-8")
+                os.write(write_end, len(text).to_bytes(8, "little") + text[: len(text) - cut])
+            finally:
+                os._exit(status)
+
+        monkeypatch.setattr(scenarios, "SWEEP_BLOCK", 2)
+        argv = ["sweep", "--steps", "4"]
+        on_cpus(monkeypatch, 1)
+        full = run_cli(capsys, argv)[1]
+        on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_format_worker", worker)
+        code, out, err = run_cli(capsys, argv)
+        assert len(forks) == 1
+        assert code == 1
+        assert err.startswith("mzteleport: error: table formatting worker ")
+        assert err.endswith(f" {message}\n")
+        assert full.startswith(out) and out.count("\n") == lines
+
     def test_reader_that_stops_early_leaves_no_process(self):
         # A 100001-point sweep on two CPUs, in a session of its own, whose
         # reader closes after its header: it exits quietly with the status of

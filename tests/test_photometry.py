@@ -27,6 +27,14 @@ class TestQubitInput:
     def test_accepts_normalized(self):
         QubitInput(1.0, 0.0)
         QubitInput(math.sqrt(0.5), 1j * math.sqrt(0.5))
+        QubitInput(np.float64(1.0), np.int64(0))
+
+    def test_takes_one_number_per_amplitude(self):
+        # An array, even of one element, a str or None is rejected by name, at either amplitude.
+        for bad in (np.array([1.0]), np.array([1.0, 0.0]), "1", None):
+            for x, y in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(ValueError, match="qubit amplitudes must be one number each"):
+                    QubitInput(x, y)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):

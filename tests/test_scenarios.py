@@ -11,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mzteleport import (
@@ -88,7 +88,13 @@ DOMAIN_SITES = {
     "grid stop": (lambda x: default_gain_grid(0.0, x), 0.0, math.inf, "start < stop"),
     "port counts": (lambda x: PortCounts(x, x), 0.0, math.inf, "photon counts"),
 }
-OUTSIDE_KINDS = ("below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str")
+# In-range arrays of a dtype other than float64, which no block of gains or counts
+# may have; a grid converts every one of them but the complex one, by design.
+DTYPE_KINDS = ("int64", "float32", "complex128", "bool")
+GRID_CONVERTS = ("int64", "float32", "bool")
+OUTSIDE_KINDS = (
+    "below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str", *DTYPE_KINDS
+)
 
 
 def outside_value(kind: str, block: bool, low: float, high: float):
@@ -96,7 +102,8 @@ def outside_value(kind: str, block: bool, low: float, high: float):
     rejects: alone, or in block form (a number follows ``low`` in an array).
 
     Lists and int arrays hold a number below the domain, so that a grid, which
-    converts any sequence of numbers, is outside too.
+    converts any sequence of real numbers, is outside too. The arrays of
+    :data:`DTYPE_KINDS` hold ``low``, then ``low + 1`` in block form.
     """
     below = math.nextafter(low, -math.inf)
     numbers = {
@@ -104,6 +111,8 @@ def outside_value(kind: str, block: bool, low: float, high: float):
     }
     if kind in numbers:
         return np.array([low, numbers[kind]]) if block else numbers[kind]
+    if kind in DTYPE_KINDS:
+        return np.array([low, low + 1] if block else [low], dtype=kind)
     return {
         "empty": np.empty(0) if block else [],
         "2-D": np.full((2, 2) if block else (1, 1), low),
@@ -171,8 +180,8 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 200 combinations: enough examples that hypothesis exhausts them all.
-    @settings(max_examples=300, deadline=None)
+    # 274 combinations: enough examples that hypothesis exhausts them all.
+    @settings(max_examples=400, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
         kind=st.sampled_from(OUTSIDE_KINDS),
@@ -187,6 +196,7 @@ class TestConfigValidation:
     @example(site="port counts", kind="None", block=False)
     @example(site="port counts", kind="None", block=True)
     def test_rejects_what_lies_outside_the_domain(self, site, kind, block):
+        assume(not (site == "sweep grid" and kind in GRID_CONVERTS))
         build, low, high, name = DOMAIN_SITES[site]
         with pytest.raises(ValueError, match=name):
             build(outside_value(kind, block, low, high))
@@ -530,6 +540,14 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    def test_complex_grid_is_rejected_not_cast(self):
+        config = ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0)
+        with pytest.raises(ValueError, match="gain grid must be a sequence of real numbers"):
+            sweep_gain(config, np.array([0.5 + 1j, 1.0 + 0j]))
+        # Integers, in an array or a list, convert.
+        for grid in (np.array([0, 1]), [0, 1]):
+            assert sweep_gain(config, grid).gains.tolist() == [0.0, 1.0]
+
     def test_gains_are_a_read_only_view_of_the_grid(self):
         grid = default_gain_grid(0.0, 1.5, 5)
         table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), grid)
@@ -555,6 +573,13 @@ class TestSweep:
                 columns[name] = bad
                 with pytest.raises(ValueError, match=f"{name} must be one-dimensional"):
                     SweepTable(**columns)
+
+    def test_complex_column_is_rejected_not_cast(self):
+        for name in ("count_a", "count_b", "visibility"):
+            columns = dict(gains=[0.0, 1.0], count_a=[1, 2], count_b=[1, 2], visibility=[0, 0])
+            columns[name] = np.array([1 + 1j, 2 + 0j])
+            with pytest.raises(ValueError, match=f"{name} must be a sequence of real numbers"):
+                SweepTable(**columns)
 
     def test_peak_prefers_earliest_tie(self):
         gains = array("d", [0.0, 0.5, 1.0, 1.5])
