@@ -224,7 +224,9 @@ def _resolve(
         row = (spec.kind, H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec))
         return _render_line(FIDELITY_HEADER, row, args)
     if args.command == "classical-max":
-        peak = sweep_gain(curves[0][1], grid).peak()[::3]
+        table = sweep_gain(curves[0][1], grid)
+        best = table.peak()
+        peak = (table.gains[best], table.visibility[best])
         return _render_line(("lambda_max", "visibility_max"), peak, args)
     return _render_tables([(label, sweep_gain(config, grid)) for label, config in curves], args)
 

@@ -33,7 +33,6 @@ __all__ = [
     "field_from_terms",
     "combine",
     "dagger",
-    "commutator",
     "beamsplitter",
     "two_mode_squeezer",
     "attenuate",
@@ -61,20 +60,18 @@ class ModeRegistry:
     """
 
     def __init__(self) -> None:
-        self._modes = [ModeId(0, self), ModeId(1, self)]
+        self._signals = (ModeId(0, self), ModeId(1, self))
+        self._drawn = 2
 
     def fresh_mode(self) -> ModeId:
         """Register a new vacuum mode."""
-        mode = ModeId(len(self._modes), self)
-        self._modes.append(mode)
+        mode = ModeId(self._drawn, self)
+        self._drawn += 1
         return mode
-
-    def mode(self, index: int) -> ModeId:
-        return self._modes[index]
 
     def signal_pair(self) -> tuple[ModeId, ModeId]:
         """The (horizontal, vertical) signal modes."""
-        return self._modes[0], self._modes[1]
+        return self._signals
 
 
 @dataclass(frozen=True)
@@ -95,10 +92,6 @@ class LinearField:
         if mode.registry is not self.registry:
             raise ValueError("mode belongs to a different registry")
         return self.terms.get(mode.index, _ZERO_TERM)
-
-    def support(self) -> tuple[ModeId, ...]:
-        """The modes the field holds a term on, ordered by index."""
-        return tuple(self.registry.mode(i) for i in sorted(self.terms))
 
 
 def field_from_terms(
@@ -134,23 +127,6 @@ def dagger(field: LinearField) -> LinearField:
     """Hermitian conjugate: per mode, (u, v) -> (conj(v), conj(u))."""
     terms = {index: (v.conjugate(), u.conjugate()) for index, (u, v) in field.terms.items()}
     return LinearField(field.registry, terms)
-
-
-def commutator(field_a: LinearField, field_b: LinearField) -> complex:
-    """The scalar ``[A, B^dag] = sum_k (u_Ak conj(u_Bk) - v_Ak conj(v_Bk))``.
-
-    A field built by any element chain from fresh inputs is canonical,
-    i.e. ``commutator(O, O) == 1``; distinct outputs of one network
-    commute, i.e. the cross value is 0.
-    """
-    if field_a.registry is not field_b.registry:
-        raise ValueError("cannot compare fields from different registries")
-    total = 0j
-    for index in field_a.terms.keys() & field_b.terms.keys():
-        ua, va = field_a.terms[index]
-        ub, vb = field_b.terms[index]
-        total += ua * ub.conjugate() - va * vb.conjugate()
-    return total
 
 
 def beamsplitter(

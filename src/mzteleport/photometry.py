@@ -58,7 +58,9 @@ class PortCounts:
         a, b = self.count_a, self.count_b
         for count in (a, b):
             _check_range(count, 0.0, math.inf, "photon counts must be finite and non-negative")
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and len(a) != len(b):
+        if isinstance(a, np.ndarray) != isinstance(b, np.ndarray):
+            raise ValueError("photon counts must be two numbers or two blocks, not one of each")
+        if isinstance(a, np.ndarray) and len(a) != len(b):
             raise ValueError(f"photon counts must be blocks of one length: {len(a)} != {len(b)}")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "MAX_GRID_STEPS",
     "ScenarioConfig",
     "ScenarioOutputs",
-    "SweepRow",
     "SweepTable",
     "build_scenario",
     "evaluate_counts",
@@ -194,17 +193,11 @@ def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
     return ScenarioConfig("b", source, gain, H, ETA_AUTO).resolved_eta()
 
 
-class SweepRow(NamedTuple):
-    gain: float
-    count_a: float
-    count_b: float
-    visibility: float
-
-
 @dataclass(frozen=True)
 class SweepTable:
     """A gain sweep of one scenario: four float64 numpy columns, one entry per gain point.
 
+    Row ``i`` is ``gains[i], count_a[i], count_b[i], visibility[i]``.
     ``gains`` is a read-only view of the caller's grid when that is a
     float64 array, so a sweep holds its grid once; the caller's array
     stays writeable.
@@ -224,19 +217,11 @@ class SweepTable:
         if len({len(column) for column in columns}) != 1:
             raise ValueError("sweep columns must have equal lengths")
 
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """The table row by row, built on each access."""
-        columns = (self.gains, self.count_a, self.count_b, self.visibility)
-        return tuple(map(SweepRow, *(column.tolist() for column in columns)))
-
-    def peak(self) -> SweepRow:
-        """The row of maximum visibility (earliest gain on ties)."""
+    def peak(self) -> int:
+        """The index of the row of maximum visibility (earliest gain on ties)."""
         if np.isnan(self.visibility).all():
             raise ValueError("sweep contains no row with defined visibility")
-        best = int(np.nanargmax(self.visibility))
-        columns = (self.gains, self.count_a, self.count_b, self.visibility)
-        return SweepRow(*(float(column[best]) for column in columns))
+        return int(np.nanargmax(self.visibility))
 
 
 def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) -> SweepTable:

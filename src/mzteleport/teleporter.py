@@ -10,6 +10,7 @@ channel. The squeezing fraction ``s`` is the noise-variance reduction
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import inf  # bound at import: the exact-math proofs replace this module's math
 
@@ -80,9 +81,13 @@ def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
 
 def _within(low: float, value, high: float) -> bool:
     """``low <= value <= high`` for one number, the rule of a pump gain, transmission or
-    squeezing fraction; an array, or a value that does not compare with a float, lies outside."""
-    if isinstance(value, np.ndarray):
-        return False
+    squeezing fraction. An array, a numpy scalar other than float64, a number that is not
+    real (``Decimal``, ``complex``) or a value that does not compare with a float lies outside."""
+    if type(value) not in (float, int, np.float64):  # the common types pass at once
+        if isinstance(value, (np.ndarray, np.generic)):
+            return False
+        if isinstance(value, numbers.Number) and not isinstance(value, numbers.Real):
+            return False
     try:
         return low <= value <= high
     except TypeError:

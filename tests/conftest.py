@@ -1,4 +1,4 @@
-"""Shared helpers: seeded RNG and random canonical field construction."""
+"""Shared helpers: seeded RNG, random canonical fields, the commutator and a sweep's rows."""
 
 from __future__ import annotations
 
@@ -40,6 +40,29 @@ def random_canonical_field(registry, modes, rng) -> "LinearField":
     return field_from_terms(
         registry, {mode: (u[i], v[i]) for i, mode in enumerate(modes)}
     )
+
+
+def commutator(field_a: "LinearField", field_b: "LinearField") -> complex:
+    """The scalar ``[A, B^dag] = sum_k (u_Ak conj(u_Bk) - v_Ak conj(v_Bk))``.
+
+    A field built by any element chain from fresh inputs is canonical,
+    i.e. ``commutator(O, O) == 1``; distinct outputs of one network
+    commute, i.e. the cross value is 0.
+    """
+    if field_a.registry is not field_b.registry:
+        raise ValueError("cannot compare fields from different registries")
+    total = 0j
+    for index in field_a.terms.keys() & field_b.terms.keys():
+        ua, va = field_a.terms[index]
+        ub, vb = field_b.terms[index]
+        total += ua * ub.conjugate() - va * vb.conjugate()
+    return total
+
+
+def table_rows(table) -> list[tuple[float, float, float, float]]:
+    """A sweep table's rows as ``(gain, count_a, count_b, visibility)`` tuples of floats."""
+    columns = (table.gains, table.count_a, table.count_b, table.visibility)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def random_qubit(rng) -> QubitInput:

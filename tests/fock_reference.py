@@ -35,7 +35,7 @@ def operator_matrix(field, cutoff: int) -> np.ndarray:
     identity elsewhere.
     """
     lower = ladder_matrix(cutoff)
-    support = field.support()
+    support = sorted(field.terms)
     dim = (cutoff + 1) ** len(support)
     if dim > DENSE_DIM_LIMIT:
         raise ValueError(
@@ -45,8 +45,8 @@ def operator_matrix(field, cutoff: int) -> np.ndarray:
     raiser = lower.conj().T
     eye = np.eye(cutoff + 1, dtype=complex)
     total = np.zeros((dim, dim), dtype=complex)
-    for position, mode in enumerate(support):
-        u, v = field.terms[mode.index]
+    for position, index in enumerate(support):
+        u, v = field.terms[index]
         factors = [eye] * len(support)
         factors[position] = u * lower + v * raiser
         total += reduce(np.kron, factors, np.eye(1, dtype=complex))

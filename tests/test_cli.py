@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_rows
 from mzteleport import (
     ETA_AUTO,
     KIND_CLASSICAL,
@@ -88,7 +89,7 @@ class TestSweepCommand:
             ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1.125),
             default_gain_grid(0.0, 1.5, 11),
         )
-        for line, row in zip(out.splitlines()[1:], table.rows):
+        for line, row in zip(out.splitlines()[1:], table_rows(table)):
             values = [float(token) for token in line.split(",")]
             for parsed, source in zip(values, row):
                 assert parsed == pytest.approx(source, rel=1e-11)
@@ -100,7 +101,7 @@ class TestSweepCommand:
             ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1.125),
             default_gain_grid(0.0, 1.5, 7),
         )
-        for line, row in zip(out.splitlines()[1:], table.rows):
+        for line, row in zip(out.splitlines()[1:], table_rows(table)):
             values = [float(token) for token in line.split(",")]
             assert values == list(row)
 
@@ -251,7 +252,7 @@ class TestRenderTables:
         expected = [
             ([] if fmt == "gnuplot" else [label]) + [format(x, f".{precision}g") for x in row]
             for label, table in tables
-            for row in table.rows
+            for row in table_rows(table)
         ]
         lines = text.splitlines()[1:]  # past the csv or tsv header, or a gnuplot comment
         rows = [line.split(cli._SEPARATORS[fmt]) for line in lines if line and line[0] != "#"]
@@ -366,14 +367,14 @@ class TestFigureCommand:
 
     def test_fig5_classical_curve_is_flat(self):
         flat = sweep_gain(dict(FIGURES["fig5"])["two-mode s=0"], default_gain_grid(0.0, 1.5, 16))
-        for row in flat.rows[1:]:
-            assert row.visibility == pytest.approx(0.2, abs=1e-12)
+        for vis in flat.visibility[1:]:
+            assert vis == pytest.approx(0.2, abs=1e-12)
 
     def test_fig4_unit_visibility_at_balanced_gain(self):
         config = dict(FIGURES["fig4"])["two-mode s=0.5"]
-        balanced = sweep_gain(config, default_gain_grid(1 / 3, 1.5, 2)).rows[0]
-        assert balanced.gain == 1 / 3
-        assert balanced.visibility == 1.0
+        table = sweep_gain(config, default_gain_grid(1 / 3, 1.5, 2))
+        assert table.gains[0] == 1 / 3
+        assert table.visibility[0] == 1.0
 
     def test_figure_is_pure_composition(self, capsys):
         # The printed preset must equal direct library sweeps, row for row.
@@ -384,7 +385,7 @@ class TestFigureCommand:
             [f"two-mode s={s:g}", *map(repr, row)]
             for s in (0.0, 0.5, 0.9)
             for config in [ScenarioConfig("c", KIND_TWO_MODE, 0.0, squeezing_to_H(s))]
-            for row in sweep_gain(config, grid).rows
+            for row in table_rows(sweep_gain(config, grid))
         ]
         assert [[label, *map(repr, map(float, row))] for label, *row in printed] == expected
 

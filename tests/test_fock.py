@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_canonical_field, random_qubit
+from conftest import commutator, random_canonical_field, random_qubit
 from fock_reference import ladder_matrix, operator_matrix, uniform_oracle_flux
 from mzteleport import (
     KIND_CLASSICAL,
@@ -26,7 +26,6 @@ from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
     combine,
-    commutator,
     dagger,
     field_from_terms,
     quadrature_variances,
@@ -43,7 +42,7 @@ def dense_flux(field, state, cutoff):
     inside, they superpose.
     """
     matrix = operator_matrix(field, cutoff)
-    support = [mode.index for mode in field.support()]
+    support = sorted(field.terms)
     sig_h, sig_v = field.registry.signal_pair()
     images = []
     for mode, amplitude in ((sig_h, state.x), (sig_v, state.y)):
@@ -200,9 +199,8 @@ class TestOracleFlux:
     )
     def test_property_matches_formula(self, coefficients, order, theta, phi):
         reg = ModeRegistry()
-        for _ in range(6):
-            reg.fresh_mode()
-        modes = [reg.mode(i) for i in order]
+        drawn = [*reg.signal_pair(), *(reg.fresh_mode() for _ in range(6))]
+        modes = [drawn[i] for i in order]
         field = field_from_terms(reg, dict(zip(modes, coefficients)))
         state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
         # The flux is at most sum |u|^2 + 2 sum |v|^2; both routes round relative to it.
@@ -231,10 +229,9 @@ class TestOracleFlux:
         # The support holds neither, one or both signal modes; a signal mode
         # outside it still carries the input photon.
         reg = ModeRegistry()
-        for _ in range(4):
-            reg.fresh_mode()
+        modes = [*reg.signal_pair(), *(reg.fresh_mode() for _ in range(4))]
         chosen = (*signals, *spares)
-        field = field_from_terms(reg, {reg.mode(i): coefficients[i] for i in chosen})
+        field = field_from_terms(reg, {modes[i]: coefficients[i] for i in chosen})
         state = QubitInput(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
         scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
         uniform = uniform_oracle_flux(field, state, cutoff)
@@ -255,14 +252,14 @@ class TestOracleFlux:
         # any field. It reports an overflow, and without a numpy warning
         # (the suite turns those into errors).
         reg = ModeRegistry()
-        reg.fresh_mode()
-        field = field_from_terms(reg, {reg.mode(index): pair for index, pair in terms.items()})
+        modes = [*reg.signal_pair(), reg.fresh_mode()]
+        field = field_from_terms(reg, {modes[index]: pair for index, pair in terms.items()})
         with pytest.raises(OverflowError, match="overflowed"):
             oracle_flux(field, QubitInput(1.0, 0.0))
         # The same field as the last gain of a block, after a finite one; here
         # numpy warns of the overflow as well.
         block = {
-            reg.mode(index): (np.array([0.0, u]), np.array([0.0, v]))
+            modes[index]: (np.array([0.0, u]), np.array([0.0, v]))
             for index, (u, v) in terms.items()
         }
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,7 +311,7 @@ def test_stored_zeros_change_no_route(seed, roles, zero):
     padded = field_from_terms(
         reg,
         {
-            **{reg.mode(index): pair for index, pair in bare.terms.items()},
+            **{modes[index]: pair for index, pair in bare.terms.items()},
             **{m: zero for m, r in zip(modes, roles) if r == "zero"},
         },
     )

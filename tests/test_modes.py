@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_canonical_field
+from conftest import commutator, random_canonical_field
 from mzteleport.modes import (
+    ModeId,
     ModeRegistry,
     annihilator_field,
     attenuate,
     beamsplitter,
     combine,
-    commutator,
     dagger,
     field_from_terms,
     quadrature_variances,
@@ -35,7 +35,7 @@ class TestRegistry:
         a_h, a_v = reg.signal_pair()
         assert a_h.index == 0
         assert a_v.index == 1
-        assert (reg.mode(0), reg.mode(1)) == (a_h, a_v)
+        assert (ModeId(0, reg), ModeId(1, reg)) == (a_h, a_v)
         assert [reg.fresh_mode().index for _ in range(3)] == [2, 3, 4]
         assert reg.signal_pair() == (a_h, a_v)
 
@@ -61,7 +61,7 @@ class TestFieldBasics:
         a_h, _ = reg.signal_pair()
         field = annihilator_field(a_h)
         assert field.coefficient(a_h) == (1.0, 0.0)
-        assert field.support() == (a_h,)
+        assert sorted(field.terms) == [a_h.index]
         assert commutator(field, field) == 1.0
 
     def test_dagger_swaps_and_conjugates(self):
@@ -102,7 +102,7 @@ class TestCombine:
         field = annihilator_field(a_h)
         zero = combine(1.0, field, -1.0, field)
         assert zero.terms == {0: (0j, 0j)}
-        assert zero.support() == (a_h,)
+        assert sorted(zero.terms) == [a_h.index]
 
     def test_balanced_mix_coefficients(self):
         reg = fresh_registry()
@@ -187,7 +187,7 @@ class TestSqueezers:
     def test_two_mode_creation_coefficient(self):
         reg = fresh_registry()
         e1, _ = two_mode_squeezer(reg, 1.125)
-        f2 = reg.mode(3)
+        f2 = ModeId(3, reg)
         assert e1.coefficient(f2)[1] == pytest.approx(math.sqrt(0.125), abs=0)
         assert e1.coefficient(f2)[1] == pytest.approx(0.35355, abs=5e-6)
 

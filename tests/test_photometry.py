@@ -96,6 +96,10 @@ class TestPortCount:
         # Two blocks of counts over one block of gains have one length.
         with pytest.raises(ValueError, match="photon counts"):
             PortCounts(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        # One number beside a block would broadcast in visibility; it is rejected.
+        for pair in ((0.5, np.array([1.0, 2.0])), (np.array([1.0, 2.0]), 0.5)):
+            with pytest.raises(ValueError, match="photon counts must be two numbers or two blocks"):
+                PortCounts(*pair)
         PortCounts(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
 
     def test_non_finite_count_rejected_once(self):

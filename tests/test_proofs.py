@@ -37,6 +37,7 @@ import types
 import pytest
 import sympy as sp
 
+from conftest import commutator
 from mzteleport import (
     H_to_squeezing,
     TeleporterSpec,
@@ -55,7 +56,6 @@ from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
     attenuate,
-    commutator,
     field_from_terms,
     two_mode_squeezer,
 )

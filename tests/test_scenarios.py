@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from array import array
 from dataclasses import replace
+from decimal import Decimal
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import commutator, table_rows
 from mzteleport import (
     ETA_AUTO,
     HORIZONTAL,
@@ -38,8 +40,8 @@ from mzteleport import (
     visibility,
 )
 from mzteleport import scenarios, teleporter
-from mzteleport.modes import ModeRegistry, annihilator_field, commutator
-from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS, SweepRow
+from mzteleport.modes import ModeRegistry, annihilator_field
+from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS
 from mzteleport.teleporter import GAIN_MAX, KINDS, PUMP_GAIN_MAX, check_channel
 
 GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
@@ -91,9 +93,13 @@ DOMAIN_SITES = {
 # In-range arrays of a dtype other than float64, which no block of gains or counts
 # may have; a grid converts every one of them but the complex one, by design.
 DTYPE_KINDS = ("int64", "float32", "complex128", "bool")
+# In-range numbers of a type that no parameter takes: a Decimal, which does not mix
+# with floats, and a numpy scalar other than float64. A grid rejects either alone.
+SCALAR_KINDS = {"Decimal": Decimal, "float32 scalar": np.float32}
 GRID_CONVERTS = ("int64", "float32", "bool")
 OUTSIDE_KINDS = (
-    "below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str", *DTYPE_KINDS
+    "below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str",
+    *DTYPE_KINDS, *SCALAR_KINDS,
 )
 
 
@@ -103,7 +109,8 @@ def outside_value(kind: str, block: bool, low: float, high: float):
 
     Lists and int arrays hold a number below the domain, so that a grid, which
     converts any sequence of real numbers, is outside too. The arrays of
-    :data:`DTYPE_KINDS` hold ``low``, then ``low + 1`` in block form.
+    :data:`DTYPE_KINDS` hold ``low``, then ``low + 1`` in block form. A number of
+    :data:`SCALAR_KINDS` is ``low`` in either form: no block holds one.
     """
     below = math.nextafter(low, -math.inf)
     numbers = {
@@ -113,6 +120,8 @@ def outside_value(kind: str, block: bool, low: float, high: float):
         return np.array([low, numbers[kind]]) if block else numbers[kind]
     if kind in DTYPE_KINDS:
         return np.array([low, low + 1] if block else [low], dtype=kind)
+    if kind in SCALAR_KINDS:
+        return SCALAR_KINDS[kind](low)
     return {
         "empty": np.empty(0) if block else [],
         "2-D": np.full((2, 2) if block else (1, 1), low),
@@ -180,7 +189,7 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 274 combinations: enough examples that hypothesis exhausts them all.
+    # 314 combinations: enough examples that hypothesis exhausts them all.
     @settings(max_examples=400, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
@@ -403,18 +412,18 @@ class TestSourceComparison:
         single = sweep_gain(
             ScenarioConfig("a", KIND_SINGLE_SQUEEZER, 0.0, squeezing_to_H(0.875)), grid
         )
-        for row_two, row_one in zip(two_mode.rows[1:], single.rows[1:]):
-            assert row_two.visibility > row_one.visibility
+        assert (two_mode.visibility[1:] > single.visibility[1:]).all()
 
     def test_peak_ratio(self):
         grid = default_gain_grid()
         two_mode = sweep_gain(
             ScenarioConfig("a", KIND_TWO_MODE, 0.0, squeezing_to_H(0.5)), grid
-        ).peak()
+        )
         single = sweep_gain(
             ScenarioConfig("a", KIND_SINGLE_SQUEEZER, 0.0, squeezing_to_H(0.875)), grid
-        ).peak()
-        assert 1.20 <= two_mode.visibility / single.visibility <= 1.35
+        )
+        ratio = two_mode.visibility[two_mode.peak()] / single.visibility[single.peak()]
+        assert 1.20 <= ratio <= 1.35
 
     def test_peak_visibility_monotone_in_squeezing(self):
         grid = default_gain_grid()
@@ -423,43 +432,42 @@ class TestSourceComparison:
             table = sweep_gain(
                 ScenarioConfig("a", KIND_TWO_MODE, 0.0, squeezing_to_H(s)), grid
             )
-            peaks.append(table.peak().visibility)
+            peaks.append(table.visibility[table.peak()])
         assert peaks == sorted(peaks)
 
 
 class TestSweep:
     def test_default_grid_row_count_and_order(self):
         table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), default_gain_grid())
-        assert len(table.rows) == 301
-        gains = [row.gain for row in table.rows]
+        assert len(table.gains) == 301
+        gains = table.gains.tolist()
         assert gains == sorted(gains)
 
     def test_classical_peak(self):
         table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0), default_gain_grid())
-        peak = table.peak()
-        assert peak.visibility == pytest.approx(1.0 / math.sqrt(5.0), abs=5e-4)
-        assert peak.gain == pytest.approx(1.0 / math.sqrt(5.0), abs=5e-3)
+        best = table.peak()
+        assert table.visibility[best] == pytest.approx(1.0 / math.sqrt(5.0), abs=5e-4)
+        assert table.gains[best] == pytest.approx(1.0 / math.sqrt(5.0), abs=5e-3)
 
     def test_half_squeezing_peak(self):
         table = sweep_gain(
             ScenarioConfig("a", KIND_TWO_MODE, 0.0, squeezing_to_H(0.5)), default_gain_grid()
         )
-        peak = table.peak()
-        assert peak.visibility == pytest.approx(0.727, abs=5e-3)
-        assert peak.gain == pytest.approx(math.sqrt(3.0 / 11.0), abs=5e-3)
+        best = table.peak()
+        assert table.visibility[best] == pytest.approx(0.727, abs=5e-3)
+        assert table.gains[best] == pytest.approx(math.sqrt(3.0 / 11.0), abs=5e-3)
 
     def test_auto_eta_balanced_row(self):
         config = ScenarioConfig("b", KIND_TWO_MODE, 0.0, 1.125, ETA_AUTO)
         table = sweep_gain(config, [0.2, 1 / 3, 0.9])
-        balanced = table.rows[1]
-        assert balanced.count_b <= 1e-12
-        assert balanced.visibility == pytest.approx(1.0, abs=1e-9)
+        assert table.count_b[1] <= 1e-12
+        assert table.visibility[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_dark_origin_row_records_nan(self):
         table = sweep_gain(ScenarioConfig("c", KIND_CLASSICAL, 0.0, 1.0), [0.0, 0.5])
-        assert math.isnan(table.rows[0].visibility)
-        assert table.rows[1].visibility == pytest.approx(0.2, abs=1e-12)
-        assert table.peak().gain == 0.5
+        assert math.isnan(table.visibility[0])
+        assert table.visibility[1] == pytest.approx(0.2, abs=1e-12)
+        assert table.gains[table.peak()] == 0.5
 
     def test_peak_requires_a_defined_row(self):
         table = sweep_gain(ScenarioConfig("c", KIND_CLASSICAL, 0.0, 1.0), [0.0])
@@ -585,7 +593,7 @@ class TestSweep:
         gains = array("d", [0.0, 0.5, 1.0, 1.5])
         fringes = array("d", [math.nan, 0.5, 0.5, 0.25])
         table = SweepTable(gains, gains, gains, fringes)
-        assert table.peak() == SweepRow(0.5, 0.5, 0.5, 0.5)
+        assert table.peak() == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -622,24 +630,22 @@ class TestSweep:
             counts = evaluate_counts(point)
             dark = counts.count_a + counts.count_b == 0.0
             fringe = math.nan if dark else visibility(counts)
-            expected.append(SweepRow(float(gain), counts.count_a, counts.count_b, fringe))
+            expected.append((float(gain), counts.count_a, counts.count_b, fringe))
             reference = reference_counts(point)
             assert block_reference.count_a[k] == reference.count_a
             assert block_reference.count_b[k] == reference.count_b
             outputs = build_scenario(point)
             for port, column in zip((outputs.port_a, outputs.port_b), block_oracle):
                 assert column[k] == sum(oracle_flux(field, HORIZONTAL) for field in port)
-        rows = table.rows
+        rows = table_rows(table)
         assert len(rows) == steps
         for row, want in zip(rows, expected):
             assert row[:3] == want[:3]
-            assert row.visibility == want.visibility or (
-                math.isnan(row.visibility) and math.isnan(want.visibility)
-            )
-        defined = [row for row in rows if not math.isnan(row.visibility)]
+            assert row[3] == want[3] or (math.isnan(row[3]) and math.isnan(want[3]))
+        defined = [k for k, row in enumerate(rows) if not math.isnan(row[3])]
         if defined:
             # max keeps the first of equal rows: the earliest gain on ties.
-            assert table.peak() == max(defined, key=lambda row: row.visibility)
+            assert table.peak() == max(defined, key=lambda k: rows[k][3])
         else:
             with pytest.raises(ValueError, match="no row"):
                 table.peak()
