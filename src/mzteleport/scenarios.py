@@ -30,7 +30,7 @@ from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     TeleporterSpec,
-    _within,
+    _check_number,
     noise_amplitudes,
     teleport_single_squeezer,
     teleport_two_mode,
@@ -93,9 +93,8 @@ class ScenarioConfig:
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
-            eta = self.eta
-            if not (eta == ETA_AUTO if isinstance(eta, str) else _within(0.0, eta, 1.0)):
-                raise ValueError(f"transmission must be 'auto' or lie in [0, 1], got {eta!r}")
+            if not (isinstance(self.eta, str) and self.eta == ETA_AUTO):
+                _check_number(self.eta, 0.0, 1.0, "transmission must be 'auto' or lie in [0, 1]")
         elif self.eta is not None:
             raise ValueError(f"layout {self.layout!r} has no attenuator; eta must be None")
 

@@ -54,12 +54,13 @@ KINDS = (KIND_TWO_MODE, KIND_SINGLE_SQUEEZER, KIND_CLASSICAL)
 
 # The admitted domain's bounds: within them no count of any route passes about 2e300.
 GAIN_MAX = PUMP_GAIN_MAX = 1e100
+_GAIN_RULE = f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}"
+_PUMP_GAIN_RULE = f"pump gain must be >= 1 and <= {PUMP_GAIN_MAX!r}"
 
 
 def check_pump_gain(H: float) -> None:
     """Reject a squeezer pump gain that is not one number in ``[1, PUMP_GAIN_MAX]``."""
-    if not _within(1.0, H, PUMP_GAIN_MAX):
-        raise ValueError(f"pump gain must be >= 1 and <= {PUMP_GAIN_MAX!r}, got {H!r}")
+    _check_number(H, 1.0, PUMP_GAIN_MAX, _PUMP_GAIN_RULE)
 
 
 def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
@@ -71,7 +72,7 @@ def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {KINDS}")
-    _check_range(gain, 0.0, GAIN_MAX, f"feedforward gain must be >= 0 and <= {GAIN_MAX!r}")
+    _check_range(gain, 0.0, GAIN_MAX, _GAIN_RULE)
     check_pump_gain(H)
     if kind == KIND_CLASSICAL and H != 1.0:
         raise ValueError(
@@ -79,34 +80,38 @@ def check_channel(kind: str, gain: float | np.ndarray, H: float) -> None:
         )
 
 
-def _within(low: float, value, high: float) -> bool:
-    """``low <= value <= high`` for one number, the rule of a pump gain, transmission or
-    squeezing fraction. An array, a numpy scalar other than float64, a number that is not
-    real (``Decimal``, ``complex``) or a value that does not compare with a float lies outside."""
-    if type(value) not in (float, int, np.float64):  # the common types pass at once
-        if isinstance(value, (np.ndarray, np.generic)):
-            return False
-        if isinstance(value, numbers.Number) and not isinstance(value, numbers.Real):
-            return False
+def _check_number(value, low: float, high: float, rule: str) -> None:
+    """Reject ``value`` unless it is one finite number in ``[low, high]``, the rule of every
+    physical parameter; ``rule`` opens the message. An int, float or float64 passes at once,
+    with no numpy call. A value of a type that no parameter takes (a bool, an array, another
+    numpy scalar, a ``Decimal``, a ``complex``, anything that does not compare with a float)
+    is refused as the wrong type, by name."""
+    wrong_type = type(value) not in (float, int, np.float64) and (  # the common types pass
+        isinstance(value, (bool, np.ndarray, np.generic))
+        or isinstance(value, numbers.Number) and not isinstance(value, numbers.Real)
+    )
     try:
-        return low <= value <= high
+        inside = not wrong_type and low <= value <= high and value < inf
     except TypeError:
-        return False
+        wrong_type = True
+    if wrong_type:
+        raise ValueError(f"{rule}, got {value!r} of the wrong type {type(value).__name__}")
+    if not inside:
+        raise ValueError(f"{rule}, got {value!r}")
 
 
 def _check_range(value, low: float, high: float, rule: str) -> None:
-    """Reject ``value`` unless it is one finite number in ``[low, high]`` (by :func:`_within`,
-    with no numpy call) or a non-empty 1-D float64 block whose minimum and maximum are, which
-    a NaN fails: the rule of a gain and of a photon count. ``rule`` opens the message."""
+    """Reject ``value`` unless it is one number that :func:`_check_number` admits, or a
+    non-empty 1-D float64 block whose minimum and maximum it admits, which a NaN fails:
+    the rule of a gain and of a photon count. ``rule`` opens the message."""
     ends = (value,)
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim != 1 or not value.size:
-            shape = f"{value.dtype} of shape {value.shape}"
-            raise ValueError(f"{rule}, as one number or a non-empty 1-D float64 block; got {shape}")
+            kind = f"an array of the wrong type or shape, {value.dtype} of shape {value.shape}"
+            raise ValueError(f"{rule}, as one number or a non-empty 1-D float64 block; got {kind}")
         ends = (float(value.min()), float(value.max()))
     for end in ends:
-        if not (_within(low, end, high) and end < inf):
-            raise ValueError(f"{rule}, got {end!r}")
+        _check_number(end, low, high, rule)
 
 
 @dataclass(frozen=True)
@@ -208,13 +213,9 @@ def optimal_gain(H: float) -> float:
 
 
 def squeezing_to_H(s: float) -> float:
-    """Pump gain for squeezing fraction ``s``: solves (sqrt(H)-sqrt(H-1))^2 = 1-s.
-
-    ``s`` is one number in ``[0, 1)``; an array, or a value that does not
-    compare with a float, is rejected like one outside it.
-    """
-    if not (_within(0.0, s, 1.0) and s < 1.0):
-        raise ValueError(f"squeezing fraction must lie in [0, 1), got {s!r}")
+    """Pump gain for squeezing fraction ``s`` in ``[0, 1)``: solves (sqrt(H)-sqrt(H-1))^2 = 1-s."""
+    # No float lies between this upper bound and 1.
+    _check_number(s, 0.0, math.nextafter(1.0, 0.0), "squeezing fraction must lie in [0, 1)")
     remaining = 1.0 - s
     total = 1.0 + remaining
     # The exact value is >= 1; rounding can land one ulp below for s ~ 1e-16.

@@ -8,6 +8,7 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -94,13 +95,19 @@ DOMAIN_SITES = {
 # may have; a grid converts every one of them but the complex one, by design.
 DTYPE_KINDS = ("int64", "float32", "complex128", "bool")
 # In-range numbers of a type that no parameter takes: a Decimal, which does not mix
-# with floats, and a numpy scalar other than float64. A grid rejects either alone.
-SCALAR_KINDS = {"Decimal": Decimal, "float32 scalar": np.float32}
+# with floats, a numpy scalar other than float64, and a bool. A grid rejects each alone.
+SCALAR_KINDS = {"Decimal": Decimal, "float32 scalar": np.float32, "bool scalar": bool}
 GRID_CONVERTS = ("int64", "float32", "bool")
+VALUE_KINDS = ("below", "above", "nan", "inf", "-inf")
 OUTSIDE_KINDS = (
-    "below", "above", "nan", "inf", "-inf", "empty", "2-D", "int array", "list", "str",
-    *DTYPE_KINDS, *SCALAR_KINDS,
+    *VALUE_KINDS, "empty", "2-D", "int array", "list", "str", *DTYPE_KINDS, *SCALAR_KINDS
 )
+# The sites of a physical parameter, whose rejection tells a wrong type from a value
+# outside the range; a gain and a count also take a block.
+BLOCK_SITES = ("spec gain", "config gain", "port counts")
+PHYSICAL_SITES = (*BLOCK_SITES, "spec H", "config H", "config eta", "squeezing")
+TYPE_KINDS = ("str", "list", "None", *DTYPE_KINDS, *SCALAR_KINDS)
+WRONG_TYPE = "of the wrong type"
 
 
 def outside_value(kind: str, block: bool, low: float, high: float):
@@ -189,7 +196,7 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 314 combinations: enough examples that hypothesis exhausts them all.
+    # 334 combinations: enough examples that hypothesis exhausts them all.
     @settings(max_examples=400, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
@@ -207,8 +214,25 @@ class TestConfigValidation:
     def test_rejects_what_lies_outside_the_domain(self, site, kind, block):
         assume(not (site == "sweep grid" and kind in GRID_CONVERTS))
         build, low, high, name = DOMAIN_SITES[site]
-        with pytest.raises(ValueError, match=name):
-            build(outside_value(kind, block, low, high))
+        value = outside_value(kind, block, low, high)
+        with pytest.raises(ValueError, match=name) as rejection:
+            build(value)
+        if site in PHYSICAL_SITES:
+            array_for_one_number = site not in BLOCK_SITES and isinstance(value, np.ndarray)
+            if kind in TYPE_KINDS or array_for_one_number:
+                assert WRONG_TYPE in str(rejection.value)
+            elif kind in VALUE_KINDS:
+                assert WRONG_TYPE not in str(rejection.value)
+
+    # In range, every real number type is admitted: on the check's fast path (int, float,
+    # float64) and off it (Fraction).
+    @pytest.mark.parametrize("number", [int, float, np.float64, Fraction])
+    @pytest.mark.parametrize("site", PHYSICAL_SITES)
+    def test_admits_every_real_number_type_in_the_domain(self, site, number):
+        build, low, _, _ = DOMAIN_SITES[site]
+        build(number(low))
+        if site in BLOCK_SITES:
+            build(np.array([low, low + 0.5]))
 
     def test_block_of_gains_is_a_one_dimensional_float64_array(self):
         config = ScenarioConfig("a", KIND_TWO_MODE, np.array([0.0, 0.5]), 1.125)
