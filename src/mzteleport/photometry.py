@@ -4,24 +4,27 @@ The detector model is polarization-insensitive intensity detection: a
 port's count is the sum of the per-polarization fluxes at that port.
 Under this model the counts, and hence fringe visibility, are identical
 for every normalized input polarization, which is what makes the whole
-arrangement a state-blind test.
+arrangement a state-blind test. One bilinear, ``<psi|F^dag G|psi>``, gives a
+flux as its diagonal and the fringe ``count_a - count_b`` as the arms' cross term.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .modes import LinearField
+from .modes import _ZERO_TERM, LinearField, _sqrt
 from .teleporter import _check_range
 
-__all__ = ["QubitInput", "PortCounts", "photon_flux", "port_count", "visibility"]
+__all__ = ["QubitInput", "PortCounts", "expectation", "photon_flux", "port_count", "visibility"]
 
 _NORMALIZATION_TOL = 1e-12
+_real = operator.attrgetter("real")  # looked up per call: a sympy expression has no .real
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,12 @@ class QubitInput:
 
     def __post_init__(self) -> None:
         x, y = self.x, self.y
-        if not (isinstance(x, numbers.Number) and isinstance(y, numbers.Number)):
-            raise ValueError(f"qubit amplitudes must be one number each, got {x!r} and {y!r}")
+        for z in (x, y):  # a bool, or a numpy scalar that would narrow the counts, is not one
+            if not isinstance(z, numbers.Complex) or isinstance(z, (bool, np.generic)) and (
+                type(z) not in (np.float64, np.complex128, np.int64)
+            ):
+                rule = "qubit amplitudes must be one number each"
+                raise ValueError(f"{rule}, got {z!r} of the wrong type {type(z).__name__}")
         # Squared parts, not abs(): a modulus past the float range is then inf, not OverflowError.
         norm = x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
         if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
@@ -49,43 +56,51 @@ HORIZONTAL = QubitInput(1.0, 0.0)
 class PortCounts:
     """Expected photons per trial at the two interferometer outputs: finite, non-negative
     numbers, or blocks of them of one length over a block of gains, as
-    :func:`teleporter._check_range` decides."""
+    :func:`teleporter._check_range` decides, and ``count_a - count_b`` (``fringe``)."""
 
     count_a: float | np.ndarray
     count_b: float | np.ndarray
+    fringe: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        a, b = self.count_a, self.count_b
+        a, b, fringe = self.count_a, self.count_b, self.fringe
         for count in (a, b):
             _check_range(count, 0.0, math.inf, "photon counts must be finite and non-negative")
         if isinstance(a, np.ndarray) != isinstance(b, np.ndarray):
             raise ValueError("photon counts must be two numbers or two blocks, not one of each")
         if isinstance(a, np.ndarray) and len(a) != len(b):
             raise ValueError(f"photon counts must be blocks of one length: {len(a)} != {len(b)}")
+        if fringe is not None:
+            _check_range(abs(fringe), 0.0, math.inf, "a fringe must be finite")
+            if getattr(fringe, "shape", ()) != getattr(a, "shape", ()):
+                raise ValueError("a fringe must be one number or a block, as its counts are")
+        object.__setattr__(self, "fringe", a - b if fringe is None else fringe)
+
+
+def expectation(field_f: LinearField, field_g: LinearField, state: QubitInput) -> complex:
+    """``<psi|F^dag G|psi>`` on the one-photon state ``c`` (``x``, ``y`` on the signal modes):
+    ``conj(A_F) A_G + sum_k conj(v_Fk) v_Gk + conj(S_F) S_G`` over the fields' terms
+    ``(u_k, v_k)``, i.e. absorbed signal ``A = sum_k u_k c_k``, spontaneous creation, and
+    stimulated creation ``S = sum_k v_k conj(c_k)``."""
+    signals = field_f.registry.signal_pair()  # a field of another registry has none of them
+    a_f, s_f = _signal_sums(field_f, signals, state)
+    a_g, s_g = (a_f, s_f) if field_g is field_f else _signal_sums(field_g, signals, state)
+    spontaneous = 0.0
+    for index, (_, v) in field_f.terms.items():
+        spontaneous += v.conjugate() * field_g.terms.get(index, _ZERO_TERM)[1]
+    return a_f.conjugate() * a_g + spontaneous + s_f.conjugate() * s_g
+
+
+def _signal_sums(field: LinearField, signals: tuple, state: QubitInput) -> tuple[complex, complex]:
+    """``A = sum_k u_k c_k`` and ``S = sum_k v_k conj(c_k)`` over the two signal modes."""
+    (u_h, v_h), (u_v, v_v) = field.coefficient(signals[0]), field.coefficient(signals[1])
+    x, y = state.x, state.y
+    return u_h * x + u_v * y, v_h * x.conjugate() + v_v * y.conjugate()
 
 
 def photon_flux(field: LinearField, state: QubitInput) -> float:
-    """Expectation of ``O^dag O`` on the one-photon polarization state.
-
-    With amplitude vector ``c`` (``x`` on the horizontal signal mode,
-    ``y`` on the vertical one, zero elsewhere) the value is
-
-        ``|sum_k u_k c_k|^2 + sum_k |v_k|^2 + |sum_k v_k conj(c_k)|^2``
-
-    i.e. absorbed signal, spontaneous creation, and the stimulated
-    signal-creation cross term. ``c`` vanishes off the two signal modes, so
-    the first and last sums run over those two alone.
-    """
-    sig_h, sig_v = field.registry.signal_pair()
-    u_h, v_h = field.coefficient(sig_h)
-    u_v, v_v = field.coefficient(sig_v)
-    absorbed = abs(u_h * state.x + u_v * state.y)
-    stimulated = abs(v_h * state.x.conjugate() + v_v * state.y.conjugate())
-    spontaneous = 0.0
-    for _, v in field.terms.values():
-        magnitude = abs(v)
-        spontaneous += magnitude * magnitude
-    return absorbed * absorbed + spontaneous + stimulated * stimulated
+    """``<O^dag O>``, the diagonal of :func:`expectation`: real, or real over a block."""
+    return _real(expectation(field, field, state))
 
 
 def port_count(
@@ -93,16 +108,28 @@ def port_count(
     port_b: Iterable[LinearField],
     state: QubitInput,
 ) -> PortCounts:
-    """Counts at both ports: per-polarization fluxes summed per port."""
+    """Counts at both ports: per-polarization fluxes summed per port, and their difference."""
     count_a = sum(photon_flux(field, state) for field in port_a)
     count_b = sum(photon_flux(field, state) for field in port_b)
     return PortCounts(count_a, count_b)
 
 
+def _fringe(arms: Iterable[tuple[LinearField, ...]], state: QubitInput) -> float | np.ndarray:
+    """``count_a - count_b`` unsubtracted: 50:50 ports ``h (c +/- d)`` of the arms, with
+    ``h = sqrt(2)/2`` rounded as in their counts, differ by ``4 h^2 Re<c^dag d>``."""
+    h = _sqrt(2) / 2
+    return sum(4 * (h * h) * _real(expectation(c, d, state)) for c, d in arms)
+
+
 def visibility(counts: PortCounts) -> float | np.ndarray:
-    """Fringe contrast ``(count_a - count_b) / (count_a + count_b)``, or its array over
-    a block of counts; undefined where both ports are dark, at any row of a block."""
+    """Fringe contrast ``fringe / (count_a + count_b)``, or its array over a block of
+    counts; undefined where both ports are dark, at any row of a block."""
     total = counts.count_a + counts.count_b
     if (total.min() if isinstance(total, np.ndarray) else total) <= 0.0:
         raise ValueError("visibility undefined: no photon flux at either port")
-    return (counts.count_a - counts.count_b) / total
+    return _contrast(counts)
+
+
+def _contrast(counts: PortCounts) -> float | np.ndarray:
+    """``fringe / (count_a + count_b)`` unchecked, so a dark row of a block is NaN."""
+    return counts.fringe / (counts.count_a + counts.count_b)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .modes import LinearField, ModeRegistry, _sqrt, annihilator_field, attenuate, beamsplitter
-from .photometry import HORIZONTAL, PortCounts, port_count
+from .photometry import HORIZONTAL, PortCounts, _contrast, _fringe, port_count
 from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
@@ -116,10 +116,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioOutputs:
-    """The four network output fields: (h, v) at each interferometer port."""
+    """The four network output fields, (h, v) at each port, and each polarization's arms."""
 
     port_a: tuple[LinearField, LinearField]
     port_b: tuple[LinearField, LinearField]
+    arms: tuple[tuple[LinearField, LinearField], ...]
 
     @property
     def all_fields(self) -> tuple[LinearField, ...]:
@@ -132,8 +133,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
     vacua = (reg.fresh_mode(), reg.fresh_mode())
     spec = config._spec
     eta = config.resolved_eta()
-    outputs_a: list[LinearField] = []
-    outputs_b: list[LinearField] = []
+    arms: list[tuple[LinearField, LinearField]] = []  # (c, d), mixed by the last beamsplitter
     for signal, vacuum in zip(reg.signal_pair(), vacua):
         arm_c, arm_d = beamsplitter(annihilator_field(signal), annihilator_field(vacuum))
         arm_c = _teleport_arm(arm_c, spec)
@@ -141,10 +141,9 @@ def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
             arm_d = attenuate(arm_d, eta)
         elif config.layout == "c":
             arm_d = _teleport_arm(arm_d, spec)
-        out_a, out_b = beamsplitter(arm_c, arm_d)
-        outputs_a.append(out_a)
-        outputs_b.append(out_b)
-    return ScenarioOutputs(tuple(outputs_a), tuple(outputs_b))
+        arms.append((arm_c, arm_d))
+    port_a, port_b = zip(*[beamsplitter(arm_c, arm_d) for arm_c, arm_d in arms])
+    return ScenarioOutputs(port_a, port_b, tuple(arms))
 
 
 def evaluate_counts(config: ScenarioConfig) -> PortCounts:
@@ -154,7 +153,8 @@ def evaluate_counts(config: ScenarioConfig) -> PortCounts:
     stands for every input. They are finite on the whole admitted domain.
     """
     outputs = build_scenario(config)
-    return port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
+    counts = port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
+    return PortCounts(counts.count_a, counts.count_b, _fringe(outputs.arms, HORIZONTAL))
 
 
 def reference_counts(config: ScenarioConfig) -> PortCounts:
@@ -164,8 +164,8 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     with ``t_d`` = 1 bare, ``sqrt(eta)`` attenuated or ``gain`` teleported,
     and each teleporter adds ``n`` photons at each port (:func:`_port_noise`):
     ``count_a, count_b = (t_c +/- t_d)^2 / 4 + n_c + n_d``, for any input
-    qubit. Both are finite on the whole admitted domain, and arrays over a
-    block of gains.
+    qubit, and the fringe ``t_c t_d``. All are finite on the whole admitted
+    domain, and arrays over a block of gains.
     """
     gain = config.gain
     noise_c = _port_noise(config.source, gain, config.H)
@@ -177,7 +177,7 @@ def reference_counts(config: ScenarioConfig) -> PortCounts:
     bright, dark, noise = gain + arm_d, gain - arm_d, noise_c + noise_d
     count_a = (0.5 * bright) * (0.5 * bright) + noise
     count_b = (0.5 * dark) * (0.5 * dark) + noise
-    return PortCounts(count_a, count_b)
+    return PortCounts(count_a, count_b, gain * arm_d)
 
 
 def optimize_eta(gain: float, H: float, source: str = KIND_TWO_MODE) -> float:
@@ -233,14 +233,14 @@ def sweep_gain(config: ScenarioConfig, gain_grid: Sequence[float] | np.ndarray) 
     squeezing) records NaN visibility; every other row is finite.
     """
     gains = _gain_column(gain_grid)
-    count_a, count_b = np.empty((2, len(gains)))
+    count_a, count_b, contrast = np.empty((3, len(gains)))
     for start in range(0, len(gains), SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
         counts = evaluate_counts(replace(config, gain=gains[block]))
         count_a[block], count_b[block] = counts.count_a, counts.count_b
-    with np.errstate(invalid="ignore"):  # a dark row is 0/0, NaN
-        fringes = (count_a - count_b) / (count_a + count_b)
-    return SweepTable(gains, count_a, count_b, fringes)
+        with np.errstate(invalid="ignore"):  # a dark row is 0/0, NaN
+            contrast[block] = _contrast(counts)
+    return SweepTable(gains, count_a, count_b, contrast)
 
 
 def _real_column(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:

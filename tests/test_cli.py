@@ -264,10 +264,12 @@ class TestRenderTables:
         argv = ["sweep", "--steps", "5"]
         full = run_cli(capsys, argv)[1]
         assert len(forks) == 1
-        # The warnings a fork in a threaded process raises (Python 3.12) are errors here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        # A fork in a threaded process warns (Python 3.12); none may be raised here. An
+        # "error" filter cannot show it, since the fork discards the exception it becomes.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run_cli(capsys, argv) == (0, full, "")
+        assert [str(warning.message) for warning in caught] == []
 
         # Formatting fails in the worker only: main exits 1 and names it, after
         # the blocks before the worker's first were written.
@@ -458,7 +460,7 @@ class TestOutputDigests:
             (["figure", "fig4", "--format", "csv"],
              "2df728a926577334c466f8d77e1b8aea42c3264c8b7853da0bdeec62162e30cd"),
             (["figure", "fig5", "--format", "csv"],
-             "c3aa3a63c174854f13d904bbdbeaa1fc2d78eb4bb58dbab755cfa5cc40a24ac4"),
+             "301e2132f30a9c367d126df81b994b1a3e53d61f317cb3d5010a169ec84c3afd"),
             (["fidelity", "--source", "two-mode", "--squeezing", "0.5"],
              "226b4cda56b45e3fcb100681b5993ed74f51cc7120581976f0cae334902a8d25"),
             (["fidelity", "--source", "single", "--squeezing", "0.875"],
@@ -475,7 +477,7 @@ class TestOutputDigests:
             (["classical-max"],
              "e0ea2c9704e93fbd017391de8e2dac872e8a85d189edf13da374788a483aa93b"),
             (["figure", "fig5", "--format", "gnuplot"],
-             "2d3ce2b5950ab19bffb6986c8a6a9312f4e2bd50e736c0ad5977880397e4a388"),
+             "ed2bc38bfd3b5c8988ad61ac81bda1dd47fcfebe1e85b5d2c88e6e885424ec20"),
             (["figure", "fig4", "--format", "tsv"],
              "94f832b28d04a29b2f4a3a90c19ddfec205de9e9d27a20013a0e11bb3684f152"),
             (["sweep", "--scenario", "b", "--eta", "0", "--squeezing", "0.5"],

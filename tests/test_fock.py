@@ -22,6 +22,8 @@ from mzteleport import (
     photon_flux,
     squeezing_to_H,
 )
+from mzteleport.photometry import expectation
+from mzteleport.fock import oracle_expectation
 from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
@@ -291,6 +293,25 @@ class TestOracleFlux:
         scale = sum(abs(u) ** 2 + 2.0 * abs(v) ** 2 for u, v in field.terms.values())
         exact = oracle_flux(field, state, cutoff=4)
         assert abs(exact - photon_flux(field, state)) <= 1e-10 * scale
+
+
+class TestOracleExpectation:
+    def test_cross_term_matches_formula(self, rng, signal_registry, signal_modes):
+        # Two fields sharing the signal modes and some ancillas, each holding modes the
+        # other lacks: the whole complex bilinear, not only the real part a count reads.
+        for _ in range(30):
+            field_f = random_canonical_field(signal_registry, signal_modes[:5], rng)
+            modes_g = signal_modes[:2] + signal_modes[3:]
+            field_g = random_canonical_field(signal_registry, modes_g, rng)
+            state = random_qubit(rng)
+            exact = oracle_expectation(field_f, field_g, state)
+            assert abs(exact - expectation(field_f, field_g, state)) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_fields_of_two_registries_refused(self):
+        field_f, field_g = (annihilator_field(ModeRegistry().signal_pair()[0]) for _ in range(2))
+        for bilinear in (expectation, oracle_expectation):
+            with pytest.raises(ValueError, match="different registr"):
+                bilinear(field_f, field_g, QubitInput(1.0, 0.0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,17 @@ class TestQubitInput:
         QubitInput(1.0, 0.0)
         QubitInput(math.sqrt(0.5), 1j * math.sqrt(0.5))
         QubitInput(np.float64(1.0), np.int64(0))
+        QubitInput(1, Fraction(0))
+        QubitInput(np.complex128(1.0), complex(0.0))
+
+    def test_refuses_wrong_types_by_name(self):
+        # A Decimal is no complex number, a float32 would round the counts to single
+        # precision, and True is not an amplitude of 1.
+        for bad in (Decimal(1), np.float32(1), np.complex64(1), True, np.bool_(True)):
+            for x, y in ((bad, 0.0), (0.0, bad)):
+                rule = f"one number each, got .* of the wrong type {type(bad).__name__}$"
+                with pytest.raises(ValueError, match=rule):
+                    QubitInput(x, y)
 
     def test_takes_one_number_per_amplitude(self):
         # An array, even of one element, a str or None is rejected by name, at either amplitude.

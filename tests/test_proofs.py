@@ -1,18 +1,19 @@
 """Exact identities of the engine, proved with sympy in place of ``math``.
 
-The engine computes with ``+ - * /``, ``abs``, ``conjugate`` and ``math.sqrt``
-only, so with sympy's ``sqrt`` standing in for ``math`` every network evaluates to
-exact expressions in the gain ``g``, the pump gain ``H = 1 + K``, the
-transmission ``eta = t^2 / (1 + t^2)`` and the qubit
-``(x, y) = (cos(theta), exp(i phi) sin(theta))``. Each test reduces an
-identity to exactly zero on one layout/source pair: the network's counts
-equal the closed form for every qubit, which is the paper's claim that the
-counts do not depend on the input state, and the outputs are canonical and
-commute. Four prove the elements' laws for every ``g >= 0`` and ``H = 1 + K``:
-the teleporter map each kind runs in an arm (``teleport_two_mode`` for the
-two-mode and classical kinds, ``teleport_single_squeezer`` for the
-single-squeezer kind) keeps a bare annihilator canonical, and the two outputs
-of ``two_mode_squeezer`` are canonical and commute. Two more state the
+The engine computes with ``+ - * /``, ``abs``, ``conjugate``, ``math.sqrt`` and a
+real part (``photometry._real``) only, so with sympy's ``sqrt`` and ``re``
+standing in for them every network evaluates to exact expressions in the gain
+``g``, the pump gain ``H = 1 + K``, the transmission ``eta = t^2 / (1 + t^2)`` and
+the qubit ``(x, y) = (cos(theta), exp(i phi) sin(theta))``. Each test reduces an
+identity to exactly zero on one layout/source pair: the network's counts equal the
+closed form for every qubit, which is the paper's claim that the counts do not
+depend on the input state, the arms' cross term is the closed form's fringe
+``t_c t_d`` and ``photon_flux`` the bilinear's real diagonal, and the outputs are
+canonical and commute. Four prove the elements' laws for every ``g >= 0`` and
+``H = 1 + K``: the teleporter map each kind runs in an arm (``teleport_two_mode`` for
+the two-mode and classical kinds, ``teleport_single_squeezer`` for the
+single-squeezer kind) keeps a bare annihilator canonical, and the two outputs of
+``two_mode_squeezer`` are canonical and commute. Two more state the
 attenuator's and the optimal gain's laws: ``attenuate`` maps a general two-mode
 field ``D`` to one with ``[A, A^dag] = eta [D, D^dag] + 1 - eta``, so a canonical
 field stays canonical for every ``eta`` in (0, 1), and ``optimal_gain(H)`` zeroes
@@ -45,6 +46,7 @@ from mzteleport import (
     coherent_fidelity,
     modes,
     optimal_gain,
+    photometry,
     photon_flux,
     reference_counts,
     scenarios,
@@ -81,13 +83,14 @@ PAIRS = [(layout, kind) for layout in LAYOUTS for kind in KINDS]
 
 @pytest.fixture(autouse=True)
 def exact_math(monkeypatch):
-    """Run the engine's ``math.sqrt`` in sympy, and bound the domain by ``oo``.
+    """Run the engine's ``math.sqrt`` and real part in sympy, and bound the domain by ``oo``.
 
     A float bound cannot be compared with a symbolic gain, so the admitted
     domain's bounds become ``oo``, which every nonnegative symbol lies below.
     """
     for module in (modes, teleporter, scenarios):
         monkeypatch.setattr(module, "math", types.SimpleNamespace(sqrt=sp.sqrt))
+    monkeypatch.setattr(photometry, "_real", sp.re)
     for bound in ("GAIN_MAX", "PUMP_GAIN_MAX"):
         monkeypatch.setattr(teleporter, bound, sp.oo)
 
@@ -129,6 +132,24 @@ def test_network_equals_closed_form_for_every_qubit(layout, kind):
     for port, count in ((outputs.port_a, reference.count_a), (outputs.port_b, reference.count_b)):
         network = sum(photon_flux(field, QUBIT) for field in port)
         assert reduce(network - count).is_zero
+
+
+@pytest.mark.parametrize("layout, kind", PAIRS)
+def test_fringe_is_cross_term_of_arms_for_every_qubit(layout, kind):
+    # The arms' cross term equals the closed form's t_c t_d, which is its own
+    # count_a - count_b; the network's counts equal the closed form's above.
+    config = symbolic_config(layout, kind)
+    reference = reference_counts(config)
+    fringe = photometry._fringe(build_scenario(config).arms, QUBIT)
+    assert reduce(fringe - reference.fringe).is_zero
+    assert reduce(reference.count_a - reference.count_b - reference.fringe).is_zero
+
+
+@pytest.mark.parametrize("layout, kind", PAIRS)
+def test_photon_flux_is_diagonal_of_the_bilinear(layout, kind):
+    # The diagonal is real, so taking its real part drops nothing.
+    for field in build_scenario(symbolic_config(layout, kind)).all_fields:
+        assert reduce(photometry.expectation(field, field, QUBIT) - photon_flux(field, QUBIT)) == 0
 
 
 @pytest.mark.parametrize("layout, kind", PAIRS)

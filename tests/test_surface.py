@@ -34,10 +34,10 @@ TRACER_SLOTS = 15
 # Each submodule's ``__all__``: a name only tests use belongs in the tests, not here.
 SUBMODULE_EXPORTS = {
     "cli": "main build_parser FIGURES",
-    "fock": "oracle_flux",
+    "fock": "oracle_expectation oracle_flux",
     "modes": """ModeId ModeRegistry LinearField annihilator_field field_from_terms combine
         dagger beamsplitter two_mode_squeezer attenuate quadrature_variances""",
-    "photometry": "QubitInput PortCounts photon_flux port_count visibility",
+    "photometry": "QubitInput PortCounts expectation photon_flux port_count visibility",
     "scenarios": """ETA_AUTO LAYOUTS MAX_GRID_STEPS ScenarioConfig ScenarioOutputs SweepTable
         build_scenario evaluate_counts reference_counts optimize_eta sweep_gain
         default_gain_grid""",
