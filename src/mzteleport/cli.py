@@ -297,8 +297,8 @@ def _render_tables(
         for block in blocks:
             yield _format_block(*block)
         return
-    # numpy's OpenBLAS stops its thread pool in its fork handler, so the
-    # worker starts with this one thread; it makes no BLAS call.
+    # numpy's OpenBLAS joins its thread pool in its fork handler, so both processes leave
+    # the fork with one thread, none for Python 3.12 to warn of; the worker makes no BLAS call.
     read_end, write_end = os.pipe()
     pid = os.fork()
     if not pid:

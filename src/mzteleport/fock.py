@@ -34,9 +34,7 @@ def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float
     """Recompute ``photon_flux``: the diagonal of :func:`oracle_expectation`, exact at every
     ``cutoff >= 3``. A non-finite (overflowed) flux raises ``OverflowError``."""
     if cutoff < 3:
-        raise ValueError(
-            f"cutoff must be >= 3 to hold the two-photon image exactly, got {cutoff!r}"
-        )
+        raise ValueError(f"cutoff must be >= 3 to hold the two-photon image, got {cutoff!r}")
     flux = oracle_expectation(field, field, state).real
     if not (np.isfinite(flux).all() if isinstance(flux, np.ndarray) else math.isfinite(flux)):
         raise OverflowError(f"photon flux overflowed to {flux!r}")
@@ -51,23 +49,24 @@ def oracle_expectation(field_f: LinearField, field_g: LinearField, state: QubitI
     basis state with ``n`` photons on its mode to ``n - 1`` photons with
     amplitude ``u sqrt(n)`` and to ``n + 1`` with ``v sqrt(n + 1)``, added
     into one image. No state exceeds two photons on a mode, so the value is
-    exact. Fields over a block of gains give the block of values.
-    """
+    exact. Fields over a block of gains give the block of values."""
     if field_g.registry is not field_f.registry:
         raise ValueError("cannot pair fields from different registries")
     sig_h, sig_v = field_f.registry.signal_pair()
     psi = {1 << 2 * sig_h.index: state.x, 1 << 2 * sig_v.index: state.y}
-
-    images: list[dict[int, complex]] = []
-    for field in (field_f,) if field_g is field_f else (field_f, field_g):
-        image: dict[int, complex] = {}
-        for index, (u, v) in field.terms.items():
-            one = 1 << 2 * index
-            for basis, amplitude in psi.items():
-                n = basis >> 2 * index & 3
-                if n:
-                    image[basis - one] = image.get(basis - one, 0.0) + u * math.sqrt(n) * amplitude
-                image[basis + one] = image.get(basis + one, 0.0) + v * math.sqrt(n + 1) * amplitude
-        images.append(image)
-    image_f, image_g = images[0], images[-1]
+    image_f = _image(field_f, psi)
+    image_g = image_f if field_g is field_f else _image(field_g, psi)  # a flux builds one
     return sum((z.conjugate() * image_g.get(k, 0.0) for k, z in image_f.items()), 0.0)
+
+
+def _image(field: LinearField, psi: dict[int, complex]) -> dict[int, complex]:
+    """``M|psi>`` for the field ``M = sum_k u_k a_k + v_k a_k^dag``, basis state to amplitude."""
+    image: dict[int, complex] = {}
+    for index, (u, v) in field.terms.items():
+        one = 1 << 2 * index
+        for basis, amplitude in psi.items():
+            n = basis >> 2 * index & 3
+            if n:
+                image[basis - one] = image.get(basis - one, 0.0) + u * math.sqrt(n) * amplitude
+            image[basis + one] = image.get(basis + one, 0.0) + v * math.sqrt(n + 1) * amplitude
+    return image

@@ -11,9 +11,9 @@ flux as its diagonal and the fringe ``count_a - count_b`` as the arms' cross ter
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
+from numbers import Complex
 from typing import Iterable
 
 import numpy as np
@@ -25,6 +25,7 @@ __all__ = ["QubitInput", "PortCounts", "expectation", "photon_flux", "port_count
 
 _NORMALIZATION_TOL = 1e-12
 _real = operator.attrgetter("real")  # looked up per call: a sympy expression has no .real
+_FINITE_MAX = math.nextafter(math.inf, 0.0)  # the largest float; a fringe lies within +/- it
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,8 @@ class QubitInput:
     def __post_init__(self) -> None:
         x, y = self.x, self.y
         for z in (x, y):  # a bool, or a numpy scalar that would narrow the counts, is not one
-            if not isinstance(z, numbers.Complex) or isinstance(z, (bool, np.generic)) and (
-                type(z) not in (np.float64, np.complex128, np.int64)
-            ):
+            wide = type(z) in (np.float64, np.complex128, np.int64)
+            if isinstance(z, (bool, np.generic)) and not wide or not isinstance(z, Complex):
                 rule = "qubit amplitudes must be one number each"
                 raise ValueError(f"{rule}, got {z!r} of the wrong type {type(z).__name__}")
         # Squared parts, not abs(): a modulus past the float range is then inf, not OverflowError.
@@ -71,7 +71,7 @@ class PortCounts:
         if isinstance(a, np.ndarray) and len(a) != len(b):
             raise ValueError(f"photon counts must be blocks of one length: {len(a)} != {len(b)}")
         if fringe is not None:
-            _check_range(abs(fringe), 0.0, math.inf, "a fringe must be finite")
+            _check_range(fringe, -_FINITE_MAX, _FINITE_MAX, "a fringe must be finite")
             if getattr(fringe, "shape", ()) != getattr(a, "shape", ()):
                 raise ValueError("a fringe must be one number or a block, as its counts are")
         object.__setattr__(self, "fringe", a - b if fringe is None else fringe)
@@ -83,19 +83,15 @@ def expectation(field_f: LinearField, field_g: LinearField, state: QubitInput) -
     ``(u_k, v_k)``, i.e. absorbed signal ``A = sum_k u_k c_k``, spontaneous creation, and
     stimulated creation ``S = sum_k v_k conj(c_k)``."""
     signals = field_f.registry.signal_pair()  # a field of another registry has none of them
-    a_f, s_f = _signal_sums(field_f, signals, state)
-    a_g, s_g = (a_f, s_f) if field_g is field_f else _signal_sums(field_g, signals, state)
+    x, y, x_bar, y_bar = state.x, state.y, state.x.conjugate(), state.y.conjugate()
+    (u_fh, v_fh), (u_fv, v_fv) = field_f.coefficient(signals[0]), field_f.coefficient(signals[1])
+    (u_gh, v_gh), (u_gv, v_gv) = field_g.coefficient(signals[0]), field_g.coefficient(signals[1])
+    absorbed = (u_fh * x + u_fv * y).conjugate() * (u_gh * x + u_gv * y)
+    stimulated = (v_fh * x_bar + v_fv * y_bar).conjugate() * (v_gh * x_bar + v_gv * y_bar)
     spontaneous = 0.0
     for index, (_, v) in field_f.terms.items():
         spontaneous += v.conjugate() * field_g.terms.get(index, _ZERO_TERM)[1]
-    return a_f.conjugate() * a_g + spontaneous + s_f.conjugate() * s_g
-
-
-def _signal_sums(field: LinearField, signals: tuple, state: QubitInput) -> tuple[complex, complex]:
-    """``A = sum_k u_k c_k`` and ``S = sum_k v_k conj(c_k)`` over the two signal modes."""
-    (u_h, v_h), (u_v, v_v) = field.coefficient(signals[0]), field.coefficient(signals[1])
-    x, y = state.x, state.y
-    return u_h * x + u_v * y, v_h * x.conjugate() + v_v * y.conjugate()
+    return absorbed + spontaneous + stimulated
 
 
 def photon_flux(field: LinearField, state: QubitInput) -> float:
@@ -107,18 +103,16 @@ def port_count(
     port_a: Iterable[LinearField],
     port_b: Iterable[LinearField],
     state: QubitInput,
+    arms: Iterable[tuple[LinearField, LinearField]] = (),
 ) -> PortCounts:
-    """Counts at both ports: per-polarization fluxes summed per port, and their difference."""
+    """Counts at both ports: per-polarization fluxes summed per port, and their difference,
+    unsubtracted if given ``arms``, each polarization's ``c, d`` before the last beamsplitter:
+    ports ``h (c +/- d)`` differ by ``4 h^2 Re<c^dag d>``, with ``h`` rounded as they carry it."""
     count_a = sum(photon_flux(field, state) for field in port_a)
     count_b = sum(photon_flux(field, state) for field in port_b)
-    return PortCounts(count_a, count_b)
-
-
-def _fringe(arms: Iterable[tuple[LinearField, ...]], state: QubitInput) -> float | np.ndarray:
-    """``count_a - count_b`` unsubtracted: 50:50 ports ``h (c +/- d)`` of the arms, with
-    ``h = sqrt(2)/2`` rounded as in their counts, differ by ``4 h^2 Re<c^dag d>``."""
     h = _sqrt(2) / 2
-    return sum(4 * (h * h) * _real(expectation(c, d, state)) for c, d in arms)
+    fringe = sum(4 * (h * h) * _real(expectation(c, d, state)) for c, d in arms) if arms else None
+    return PortCounts(count_a, count_b, fringe)
 
 
 def visibility(counts: PortCounts) -> float | np.ndarray:

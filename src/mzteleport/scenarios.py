@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .modes import LinearField, ModeRegistry, _sqrt, annihilator_field, attenuate, beamsplitter
-from .photometry import HORIZONTAL, PortCounts, _contrast, _fringe, port_count
+from .photometry import HORIZONTAL, PortCounts, _contrast, port_count
 from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
@@ -153,8 +153,7 @@ def evaluate_counts(config: ScenarioConfig) -> PortCounts:
     stands for every input. They are finite on the whole admitted domain.
     """
     outputs = build_scenario(config)
-    counts = port_count(outputs.port_a, outputs.port_b, HORIZONTAL)
-    return PortCounts(counts.count_a, counts.count_b, _fringe(outputs.arms, HORIZONTAL))
+    return port_count(outputs.port_a, outputs.port_b, HORIZONTAL, outputs.arms)
 
 
 def reference_counts(config: ScenarioConfig) -> PortCounts:

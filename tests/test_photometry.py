@@ -115,6 +115,28 @@ class TestPortCount:
                 PortCounts(*pair)
         PortCounts(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
 
+    def test_fringe_is_one_finite_number_shaped_as_the_counts(self):
+        assert PortCounts(1.0, 0.25).fringe == 0.75
+        assert PortCounts(0.0, 1.0, -math.nextafter(math.inf, 0.0)).fringe < 0.0
+        # The value itself is checked, so a bool, a complex number and a str are
+        # refused as wrong types, and NaN and either infinity as not finite.
+        for bad in (True, 0.5j, "x", Decimal("0.5")):
+            with pytest.raises(ValueError, match="a fringe must be finite, got .* wrong type"):
+                PortCounts(1.0, 0.5, bad)
+        with pytest.raises(ValueError, match="a fringe must be finite, .* wrong type"):
+            PortCounts(np.ones(2), np.ones(2), np.array([0.5j, 0.0]))
+        for bad in (math.nan, math.inf, -math.inf):
+            for count, fringe in ((1.0, bad), (np.ones(2), np.array([0.5, bad]))):
+                with pytest.raises(ValueError, match="a fringe must be finite, got"):
+                    PortCounts(count, count, fringe)
+        for counts, fringe in (
+            ((1.0, 0.5), np.array([0.5])),
+            ((np.ones(2), np.ones(2)), 0.0),
+            ((np.ones(2), np.ones(2)), np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match="as its counts are"):
+                PortCounts(*counts, fringe)
+
     def test_non_finite_count_rejected_once(self):
         # A 1e200 creation coefficient squares past the float range; the
         # count is inf, and PortCounts is the one check that rejects it.

@@ -48,6 +48,7 @@ from mzteleport import (
     optimal_gain,
     photometry,
     photon_flux,
+    port_count,
     reference_counts,
     scenarios,
     teleport_composed,
@@ -93,6 +94,7 @@ def exact_math(monkeypatch):
     monkeypatch.setattr(photometry, "_real", sp.re)
     for bound in ("GAIN_MAX", "PUMP_GAIN_MAX"):
         monkeypatch.setattr(teleporter, bound, sp.oo)
+    monkeypatch.setattr(photometry, "_FINITE_MAX", sp.oo)
 
 
 def pump_gain(kind: str) -> sp.Expr:
@@ -140,7 +142,8 @@ def test_fringe_is_cross_term_of_arms_for_every_qubit(layout, kind):
     # count_a - count_b; the network's counts equal the closed form's above.
     config = symbolic_config(layout, kind)
     reference = reference_counts(config)
-    fringe = photometry._fringe(build_scenario(config).arms, QUBIT)
+    outputs = build_scenario(config)
+    fringe = port_count(outputs.port_a, outputs.port_b, QUBIT, outputs.arms).fringe
     assert reduce(fringe - reference.fringe).is_zero
     assert reduce(reference.count_a - reference.count_b - reference.fringe).is_zero
 

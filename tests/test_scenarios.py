@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -41,7 +42,7 @@ from mzteleport import (
     sweep_gain,
     visibility,
 )
-from mzteleport import photometry, scenarios, teleporter
+from mzteleport import scenarios, teleporter
 from mzteleport.fock import oracle_expectation
 from mzteleport.modes import ModeRegistry, annihilator_field
 from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS
@@ -68,6 +69,16 @@ def scenario_configs(draw):
 # Each parameter a constructor checks: how to build it, its domain, and the
 # name its rejection message carries. The grid is checked as a block of gains.
 GAIN_NAME, PUMP_NAME = "feedforward gain", "pump gain"
+FLOAT_MAX = sys.float_info.max
+
+
+def counts_shaped_as(fringe) -> tuple:
+    """Two admitted counts: blocks of the fringe's length where it is a 1-D block, else numbers."""
+    if isinstance(fringe, np.ndarray) and fringe.ndim == 1 and fringe.size:
+        return np.ones(len(fringe)), np.full(len(fringe), 0.5)
+    return 1.0, 0.5
+
+
 DOMAIN_SITES = {
     "spec gain": (lambda x: TeleporterSpec(KIND_TWO_MODE, x, 1.125), 0.0, GAIN_MAX, GAIN_NAME),
     "spec H": (lambda x: TeleporterSpec(KIND_TWO_MODE, 0.5, x), 1.0, PUMP_GAIN_MAX, PUMP_NAME),
@@ -92,6 +103,8 @@ DOMAIN_SITES = {
     "grid steps": (lambda x: default_gain_grid(0.0, 1.5, x), 2, MAX_GRID_STEPS, "steps"),
     "grid stop": (lambda x: default_gain_grid(0.0, x), 0.0, math.inf, "start < stop"),
     "port counts": (lambda x: PortCounts(x, x), 0.0, math.inf, "photon counts"),
+    # Any finite number; the counts beside it are shaped as it is, so only it is checked.
+    "port fringe": (lambda x: PortCounts(*counts_shaped_as(x), x), -FLOAT_MAX, FLOAT_MAX, "fringe"),
 }
 # In-range arrays of a dtype other than float64, which no block of gains or counts
 # may have; a grid converts every one of them but the complex one, by design.
@@ -106,7 +119,7 @@ OUTSIDE_KINDS = (
 )
 # The sites of a physical parameter, whose rejection tells a wrong type from a value
 # outside the range; a gain and a count also take a block.
-BLOCK_SITES = ("spec gain", "config gain", "port counts")
+BLOCK_SITES = ("spec gain", "config gain", "port counts", "port fringe")
 PHYSICAL_SITES = (*BLOCK_SITES, "spec H", "config H", "config eta", "squeezing")
 TYPE_KINDS = ("str", "list", "None", *DTYPE_KINDS, *SCALAR_KINDS)
 WRONG_TYPE = "of the wrong type"
@@ -119,8 +132,10 @@ def outside_value(kind: str, block: bool, low: float, high: float):
     Lists and int arrays hold a number below the domain, so that a grid, which
     converts any sequence of real numbers, is outside too. The arrays of
     :data:`DTYPE_KINDS` hold ``low``, then ``low + 1`` in block form. A number of
-    :data:`SCALAR_KINDS` is ``low`` in either form: no block holds one.
+    :data:`SCALAR_KINDS` is ``low`` in either form: no block holds one. Where ``low`` is
+    negative, those two kinds hold 0 in its place, which every one of them can hold.
     """
+    inside = max(low, 0.0)
     below = math.nextafter(low, -math.inf)
     numbers = {
         "below": below, "above": high * 1e100, "nan": math.nan, "inf": math.inf, "-inf": -math.inf
@@ -128,9 +143,9 @@ def outside_value(kind: str, block: bool, low: float, high: float):
     if kind in numbers:
         return np.array([low, numbers[kind]]) if block else numbers[kind]
     if kind in DTYPE_KINDS:
-        return np.array([low, low + 1] if block else [low], dtype=kind)
+        return np.array([inside, inside + 1] if block else [inside], dtype=kind)
     if kind in SCALAR_KINDS:
-        return SCALAR_KINDS[kind](low)
+        return SCALAR_KINDS[kind](inside)
     return {
         "empty": np.empty(0) if block else [],
         "2-D": np.full((2, 2) if block else (1, 1), low),
@@ -198,7 +213,7 @@ class TestConfigValidation:
         assert auto.resolved_eta() == optimize_eta(0.5, 1.125)
         assert ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125).resolved_eta() is None
 
-    # 334 combinations: enough examples that hypothesis exhausts them all.
+    # 368 combinations: enough examples that hypothesis exhausts them all.
     @settings(max_examples=400, deadline=None)
     @given(
         site=st.sampled_from(sorted(DOMAIN_SITES)),
@@ -329,7 +344,7 @@ class TestNetworkAgainstClosedForms:
             4 * (half_root2 * half_root2) * oracle_expectation(c, d, qubit).real
             for c, d in outputs.arms
         )
-        engine = photometry._fringe(outputs.arms, qubit)
+        engine = port_count(outputs.port_a, outputs.port_b, qubit, outputs.arms).fringe
         reference = reference_counts(config).fringe
         for fringe in (evaluate_counts(config).fringe, engine, oracle):
             assert fringe == pytest.approx(reference, rel=4e-15, abs=0.0)
