@@ -29,6 +29,8 @@ from .photometry import QubitInput
 
 __all__ = ["oracle_expectation", "oracle_flux"]
 
+_ROOTS = tuple(math.sqrt(n) for n in range(5))  # sqrt(n) of every photon number the image reaches
+
 
 def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float:
     """Recompute ``photon_flux``: the diagonal of :func:`oracle_expectation`, exact at every
@@ -63,10 +65,11 @@ def _image(field: LinearField, psi: dict[int, complex]) -> dict[int, complex]:
     """``M|psi>`` for the field ``M = sum_k u_k a_k + v_k a_k^dag``, basis state to amplitude."""
     image: dict[int, complex] = {}
     for index, (u, v) in field.terms.items():
-        one = 1 << 2 * index
+        shift = 2 * index
+        one = 1 << shift
         for basis, amplitude in psi.items():
-            n = basis >> 2 * index & 3
+            n = basis >> shift & 3
             if n:
-                image[basis - one] = image.get(basis - one, 0.0) + u * math.sqrt(n) * amplitude
-            image[basis + one] = image.get(basis + one, 0.0) + v * math.sqrt(n + 1) * amplitude
+                image[basis - one] = image.get(basis - one, 0.0) + u * _ROOTS[n] * amplitude
+            image[basis + one] = image.get(basis + one, 0.0) + v * _ROOTS[n + 1] * amplitude
     return image

@@ -39,8 +39,8 @@ class QubitInput:
     def __post_init__(self) -> None:
         x, y = self.x, self.y
         for z in (x, y):  # a bool, or a numpy scalar that would narrow the counts, is not one
-            wide = type(z) in (np.float64, np.complex128, np.int64)
-            if isinstance(z, (bool, np.generic)) and not wide or not isinstance(z, Complex):
+            wide = type(z) in (complex, float, int, np.float64, np.complex128, np.int64)
+            if not wide and (isinstance(z, (bool, np.generic)) or not isinstance(z, Complex)):
                 rule = "qubit amplitudes must be one number each"
                 raise ValueError(f"{rule}, got {z!r} of the wrong type {type(z).__name__}")
         # Squared parts, not abs(): a modulus past the float range is then inf, not OverflowError.

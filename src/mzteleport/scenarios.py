@@ -10,9 +10,11 @@ arms are recombined in phase at a second 50:50 beamsplitter.
 * layout ``c`` -- identical teleporters in both arms, the self-testing
   arrangement whose dark port stays empty at the optimal gain.
 
-Every teleporter invocation draws its own fresh ancilla pair, one per arm
-and per polarization. :func:`reference_counts` checks that network with one
-closed form, and :func:`optimize_eta` is that form's visibility argmax.
+Every element is blind to polarization, so the network is built on the
+horizontal polarization and mapped onto the vertical one's modes; each
+teleporter still draws its own ancilla pair per polarization.
+:func:`reference_counts` checks that network with one closed form, and
+:func:`optimize_eta` is that form's visibility argmax.
 """
 
 from __future__ import annotations
@@ -128,22 +130,33 @@ class ScenarioOutputs:
 
 
 def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
-    """Construct the configured network on a fresh registry; return its output fields."""
+    """Construct the configured network on a fresh registry; return its output fields.
+
+    The elements run on the horizontal polarization; its fields map onto the
+    vertical signal, the vertical vacuum and one fresh mode per ancilla. The
+    map is increasing, so each field keeps its terms' order and every sum its value.
+    """
     reg = ModeRegistry()
-    vacua = (reg.fresh_mode(), reg.fresh_mode())
+    signal_h, signal_v = reg.signal_pair()
+    vacuum_h, vacuum_v = reg.fresh_mode(), reg.fresh_mode()
     spec = config._spec
-    eta = config.resolved_eta()
-    arms: list[tuple[LinearField, LinearField]] = []  # (c, d), mixed by the last beamsplitter
-    for signal, vacuum in zip(reg.signal_pair(), vacua):
-        arm_c, arm_d = beamsplitter(annihilator_field(signal), annihilator_field(vacuum))
-        arm_c = _teleport_arm(arm_c, spec)
-        if config.layout == "b":
-            arm_d = attenuate(arm_d, eta)
-        elif config.layout == "c":
-            arm_d = _teleport_arm(arm_d, spec)
-        arms.append((arm_c, arm_d))
-    port_a, port_b = zip(*[beamsplitter(arm_c, arm_d) for arm_c, arm_d in arms])
-    return ScenarioOutputs(port_a, port_b, tuple(arms))
+    # (c, d), mixed by the last beamsplitter
+    arm_c, arm_d = beamsplitter(annihilator_field(signal_h), annihilator_field(vacuum_h))
+    arm_c = _teleport_arm(arm_c, spec)
+    if config.layout == "b":
+        arm_d = attenuate(arm_d, config.resolved_eta())
+    elif config.layout == "c":
+        arm_d = _teleport_arm(arm_d, spec)
+    port_a, port_b = beamsplitter(arm_c, arm_d)
+    index_map = {signal_h.index: signal_v.index, vacuum_h.index: vacuum_v.index}
+    for index in sorted((arm_c.terms.keys() | arm_d.terms.keys()) - index_map.keys()):
+        index_map[index] = reg.fresh_mode().index  # every ancilla keeps a term
+
+    def vertical(field: LinearField) -> LinearField:
+        return LinearField(reg, {index_map[k]: term for k, term in field.terms.items()})
+
+    arms = ((arm_c, arm_d), (vertical(arm_c), vertical(arm_d)))
+    return ScenarioOutputs((port_a, vertical(port_a)), (port_b, vertical(port_b)), arms)
 
 
 def evaluate_counts(config: ScenarioConfig) -> PortCounts:

@@ -44,9 +44,16 @@ from mzteleport import (
 )
 from mzteleport import scenarios, teleporter
 from mzteleport.fock import oracle_expectation
-from mzteleport.modes import ModeRegistry, annihilator_field
+from mzteleport.modes import ModeRegistry, annihilator_field, attenuate, beamsplitter
 from mzteleport.scenarios import LAYOUTS, MAX_GRID_STEPS
-from mzteleport.teleporter import GAIN_MAX, KINDS, PUMP_GAIN_MAX, check_channel
+from mzteleport.teleporter import (
+    GAIN_MAX,
+    KINDS,
+    PUMP_GAIN_MAX,
+    check_channel,
+    teleport_single_squeezer,
+    teleport_two_mode,
+)
 
 GAIN_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
 SQUEEZING_GRID = [0.0, 0.5, 0.9]
@@ -410,6 +417,44 @@ class TestNetworkStructure:
             assert commutator(field, field) == pytest.approx(1.0, abs=1e-12)
             for other in fields[i + 1 :]:
                 assert commutator(field, other) == pytest.approx(0.0, abs=1e-12)
+
+    # build_scenario runs the elements on the horizontal polarization only and
+    # maps its fields onto vertical modes. Built element by element instead,
+    # in the order of a network without the map (vacua, then the horizontal
+    # elements, then the vertical ones), both polarizations are the same
+    # terms in the same order, with the same bits, on the same modes.
+    @pytest.mark.parametrize("gain", [0.6, np.array([0.0, 0.6, 1.3])], ids=["point", "block"])
+    @pytest.mark.parametrize("source", KINDS)
+    @pytest.mark.parametrize("layout, eta", [("a", None), ("b", ETA_AUTO), ("b", 0.37), ("c", None)])
+    def test_mapped_polarization_is_the_built_one(self, layout, eta, source, gain):
+        config = ScenarioConfig(layout, source, gain, 1.0 if source == KIND_CLASSICAL else 1.7, eta)
+        spec = TeleporterSpec(source, gain, config.H)
+        teleport = teleport_single_squeezer if source == KIND_SINGLE_SQUEEZER else teleport_two_mode
+        reg = ModeRegistry()
+        vacua = (reg.fresh_mode(), reg.fresh_mode())
+        built = []  # per polarization: arm c, arm d, port a, port b
+        for signal, vacuum in zip(reg.signal_pair(), vacua):
+            arm_c, arm_d = beamsplitter(annihilator_field(signal), annihilator_field(vacuum))
+            arm_c = teleport(arm_c, spec)
+            if layout == "b":
+                arm_d = attenuate(arm_d, config.resolved_eta())
+            elif layout == "c":
+                arm_d = teleport(arm_d, spec)
+            built.append((arm_c, arm_d, *beamsplitter(arm_c, arm_d)))
+        outputs = build_scenario(config)
+        mapped = [(*arms, a, b) for arms, a, b in zip(outputs.arms, outputs.port_a, outputs.port_b)]
+
+        def exact(field):  # every term in order, each coefficient as its type and bits
+            return [
+                (k, [(type(c), np.asarray(c).dtype, np.asarray(c).tobytes()) for c in term])
+                for k, term in field.terms.items()
+            ]
+
+        for fields, want in zip(mapped, built):
+            assert [exact(field) for field in fields] == [exact(field) for field in want]
+        assert outputs.port_a[0].registry.fresh_mode().index == reg.fresh_mode().index
+        horizontal, vertical = ({k for field in fields for k in field.terms} for fields in mapped)
+        assert not horizontal & vertical
 
 
 class TestOptimizeEta:
