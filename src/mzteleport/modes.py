@@ -13,8 +13,9 @@ modes from the start; an element that needs vacuum inputs draws fresh ones
 from its input field's registry, so no two elements can share one.
 
 The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
-check them once, on construction) and casts no number, so it runs on floats,
-arrays and exact sympy expressions alike. It squares by multiplying, never with ``**``.
+check them once, on construction), casts no number, and squares by multiplying,
+never with ``**``. :func:`_sqrt` is its one square root and the closed form's, so
+swapping this module's ``math`` runs both on exact sympy expressions or mpmath numbers.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def beamsplitter(
     field_a: LinearField, field_b: LinearField
 ) -> tuple[LinearField, LinearField]:
     """50:50 beamsplitter: returns ``((A + B)/sqrt2, (A - B)/sqrt2)``."""
-    half_root2 = math.sqrt(2) / 2
+    half_root2 = _sqrt(2) / 2
     out_sum = combine(half_root2, field_a, half_root2, field_b)
     out_diff = combine(half_root2, field_a, -half_root2, field_b)
     return out_sum, out_diff
@@ -147,8 +148,7 @@ def two_mode_squeezer(registry: ModeRegistry, H: float) -> tuple[LinearField, Li
     ``H = 1`` is the identity (no entanglement). The caller checks ``H``.
     """
     f1, f2 = registry.fresh_mode(), registry.fresh_mode()
-    cosh = math.sqrt(H)
-    sinh = math.sqrt(H - 1.0)
+    cosh, sinh = _sqrt(H), _sqrt(H - 1.0)
     e1 = field_from_terms(registry, {f1: (cosh, 0.0), f2: (0.0, sinh)})
     e2 = field_from_terms(registry, {f2: (cosh, 0.0), f1: (0.0, sinh)})
     return e1, e2
@@ -163,7 +163,8 @@ def attenuate(field_d: LinearField, eta: float) -> LinearField:
 
 
 def _sqrt(x):
-    """``np.sqrt`` of an array, else ``math.sqrt``, looked up per call so a test can swap it."""
+    """``np.sqrt`` of an array, else ``math.sqrt``: every square root of the engine and
+    the closed form, with ``math`` looked up per call so a test can swap it."""
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from math import inf  # bound at import: the exact-math proofs replace this module's math
 
 import numpy as np
 
 from .modes import (
     LinearField,
     ModeRegistry,
+    _sqrt,
     beamsplitter,
     combine,
     dagger,
@@ -91,7 +91,7 @@ def _check_number(value, low: float, high: float, rule: str) -> None:
         or isinstance(value, numbers.Number) and not isinstance(value, numbers.Real)
     )
     try:
-        inside = not wrong_type and low <= value <= high and value < inf
+        inside = not wrong_type and low <= value <= high and value < math.inf
     except TypeError:
         wrong_type = True
     if wrong_type:
@@ -133,8 +133,7 @@ def noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
     creation-side amplitude (spurious photons) and the annihilation-side
     amplitude (vacuum passthrough that keeps the output canonical).
     """
-    root_h = math.sqrt(H)
-    root_h1 = math.sqrt(H - 1.0)
+    root_h, root_h1 = _sqrt(H), _sqrt(H - 1.0)
     return gain * root_h - root_h1, root_h - gain * root_h1
 
 
@@ -168,7 +167,7 @@ def _channel_noise(spec: TeleporterSpec, registry: ModeRegistry) -> LinearField:
     f1, f2 = registry.fresh_mode(), registry.fresh_mode()
     creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
     if spec.kind == KIND_SINGLE_SQUEEZER:
-        half_root2 = math.sqrt(2) / 2
+        half_root2 = _sqrt(2) / 2
         terms = {
             f1: (passthrough_amp * half_root2, creation_amp * half_root2),
             f2: (half_root2, spec.gain * half_root2),
@@ -199,7 +198,7 @@ def teleport_composed(c: LinearField, spec: TeleporterSpec) -> LinearField:
     x_meas = combine(1.0, mix_diff, 1.0, dagger(mix_diff))
     p_meas = combine(-1j, mix_sum, 1j, dagger(mix_sum))
     measured = combine(0.5, x_meas, 0.5j, p_meas)
-    return combine(1.0, e2, spec.gain * math.sqrt(2), measured)
+    return combine(1.0, e2, spec.gain * _sqrt(2), measured)
 
 
 def optimal_gain(H: float) -> float:
@@ -209,7 +208,7 @@ def optimal_gain(H: float) -> float:
     attenuation with intensity transmission ``optimal_gain(H)**2``.
     """
     check_pump_gain(H)
-    return math.sqrt((H - 1.0) / H)
+    return _sqrt((H - 1.0) / H)
 
 
 def squeezing_to_H(s: float) -> float:
@@ -225,7 +224,7 @@ def squeezing_to_H(s: float) -> float:
 def H_to_squeezing(H: float) -> float:
     """Inverse of :func:`squeezing_to_H`."""
     check_pump_gain(H)
-    root_sum = math.sqrt(H) + math.sqrt(H - 1.0)
+    root_sum = _sqrt(H) + _sqrt(H - 1.0)
     return 1.0 - 1.0 / (root_sum * root_sum)
 
 
@@ -242,4 +241,4 @@ def coherent_fidelity(spec: TeleporterSpec) -> float:
     if spec.gain != 1.0:
         raise ValueError("coherent fidelity is defined at unity gain only")
     v_x, v_p = quadrature_variances(_channel_noise(spec, ModeRegistry()))
-    return 2.0 / math.sqrt((2.0 + v_x) * (2.0 + v_p))
+    return 2.0 / _sqrt((2.0 + v_x) * (2.0 + v_p))

@@ -1,11 +1,15 @@
-"""Shared helpers: seeded RNG, random canonical fields, the commutator and a sweep's rows."""
+"""Shared helpers: seeded RNG, random canonical fields, the commutator, a sweep's rows
+and the package's square root in mpmath."""
 
 from __future__ import annotations
 
+import types
+
+import mpmath
 import numpy as np
 import pytest
 
-from mzteleport import QubitInput
+from mzteleport import QubitInput, modes
 from mzteleport.modes import ModeId, ModeRegistry, field_from_terms
 
 
@@ -69,3 +73,9 @@ def random_qubit(rng) -> QubitInput:
     amplitudes = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     amplitudes /= np.linalg.norm(amplitudes)
     return QubitInput(complex(amplitudes[0]), complex(amplitudes[1]))
+
+
+def sqrt_in_mpmath(monkeypatch) -> None:
+    """Run every square root of the engine and the closed form (``modes._sqrt``) in
+    mpmath, at the precision the caller sets."""
+    monkeypatch.setattr(modes, "math", types.SimpleNamespace(sqrt=mpmath.sqrt))

@@ -11,13 +11,16 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from decimal import ROUND_FLOOR, Context, Decimal
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_rows
+from conftest import sqrt_in_mpmath, table_rows
 from mzteleport import (
     ETA_AUTO,
     KIND_CLASSICAL,
@@ -28,9 +31,11 @@ from mzteleport import (
     SweepTable,
     cli,
     default_gain_grid,
+    reference_counts,
     scenarios,
     squeezing_to_H,
     sweep_gain,
+    visibility,
 )
 from mzteleport.cli import FIGURES, main
 from mzteleport.scenarios import MAX_GRID_STEPS
@@ -40,6 +45,18 @@ SWEEP_HEADER = "lambda,count_a,count_b,visibility"
 # The first float above each bound of the admitted domain, as typed.
 PAST_GAIN_MAX = repr(math.nextafter(GAIN_MAX, math.inf))
 PAST_PUMP_GAIN_MAX = repr(math.nextafter(PUMP_GAIN_MAX, math.inf))
+
+
+def printed_digits_hold(cell: str, exact) -> bool:
+    """Whether a 12-digit ``cell`` is ``exact`` correctly rounded, or, where ``exact``
+    lies within 2 float ulps of a 12-digit tie, either neighbour of that tie."""
+    value, printed = Decimal(mpmath.nstr(exact, 30)), Decimal(cell)
+    if printed == Context(prec=12).plus(value):
+        return True
+    below = Context(prec=12, rounding=ROUND_FLOOR).plus(value)
+    step = Decimal(1).scaleb(below.adjusted() - 11)
+    near_tie = abs(value - (below + step / 2)) <= 2 * Decimal(math.ulp(float(exact)))
+    return near_tie and printed in (below, below + step)
 
 
 def run_cli(capsys, argv):
@@ -404,6 +421,28 @@ class TestFigureCommand:
         assert len(tables) == 4
         for table in tables[1:]:
             assert np.shares_memory(table.gains, tables[0].gains)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
+    def test_every_printed_digit(self, name, capsys, monkeypatch):
+        # Each count and visibility cell against the closed form at the same binary
+        # gain and H, run in 30 digits through the package's square root.
+        _, out, _ = run_cli(capsys, ["figure", name])
+        grid, configs = default_gain_grid().tolist(), dict(FIGURES[name])
+        sqrt_in_mpmath(monkeypatch)
+        wrong = []
+        with mpmath.workdps(30):
+            for row, line in enumerate(out.splitlines()[1:]):
+                label, _, *cells = line.split(",")
+                gain = grid[row % len(grid)]
+                counts = reference_counts(replace(configs[label], gain=mpmath.mpf(gain)))
+                dark = counts.count_a + counts.count_b == 0
+                exact = (counts.count_a, counts.count_b, None if dark else visibility(counts))
+                if dark and cells[2] != "nan":
+                    wrong.append((label, gain, "visibility", cells[2], "undefined"))
+                for column, cell, value in zip(SWEEP_HEADER.split(",")[1:], cells, exact):
+                    if value is not None and not printed_digits_hold(cell, value):
+                        wrong.append((label, gain, column, cell, mpmath.nstr(value, 20)))
+        assert wrong == []
 
     def test_gnuplot_blocks(self, capsys):
         _, out, _ = run_cli(capsys, ["figure", "fig5", "--steps", "3", "--format", "gnuplot"])

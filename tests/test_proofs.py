@@ -1,6 +1,6 @@
-"""Exact identities of the engine, proved with sympy in place of ``math``.
+"""Exact identities of the engine, proved with sympy's ``sqrt`` in ``modes.math``.
 
-The engine computes with ``+ - * /``, ``abs``, ``conjugate``, ``math.sqrt`` and a
+The engine computes with ``+ - * /``, ``abs``, ``conjugate``, ``modes._sqrt`` and a
 real part (``photometry._real``) only, so with sympy's ``sqrt`` and ``re``
 standing in for them every network evaluates to exact expressions in the gain
 ``g``, the pump gain ``H = 1 + K``, the transmission ``eta = t^2 / (1 + t^2)`` and
@@ -50,7 +50,6 @@ from mzteleport import (
     photon_flux,
     port_count,
     reference_counts,
-    scenarios,
     teleport_composed,
     teleporter,
     visibility,
@@ -84,13 +83,15 @@ PAIRS = [(layout, kind) for layout in LAYOUTS for kind in KINDS]
 
 @pytest.fixture(autouse=True)
 def exact_math(monkeypatch):
-    """Run the engine's ``math.sqrt`` and real part in sympy, and bound the domain by ``oo``.
+    """Run the package's square root (``modes._sqrt``) and real part in sympy, and bound
+    the domain by ``oo``.
 
-    A float bound cannot be compared with a symbolic gain, so the admitted
-    domain's bounds become ``oo``, which every nonnegative symbol lies below.
+    Swapping ``modes.math`` alone runs every square root of the engine and the
+    closed form in sympy. A float bound cannot be compared with a symbolic gain,
+    so the admitted domain's bounds become ``oo``, which every nonnegative
+    symbol lies below.
     """
-    for module in (modes, teleporter, scenarios):
-        monkeypatch.setattr(module, "math", types.SimpleNamespace(sqrt=sp.sqrt))
+    monkeypatch.setattr(modes, "math", types.SimpleNamespace(sqrt=sp.sqrt))
     monkeypatch.setattr(photometry, "_real", sp.re)
     for bound in ("GAIN_MAX", "PUMP_GAIN_MAX"):
         monkeypatch.setattr(teleporter, bound, sp.oo)

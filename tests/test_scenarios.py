@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import commutator, table_rows
+from conftest import commutator, sqrt_in_mpmath, table_rows
 from mzteleport import (
     ETA_AUTO,
     HORIZONTAL,
@@ -356,6 +356,19 @@ class TestNetworkAgainstClosedForms:
         for fringe in (evaluate_counts(config).fringe, engine, oracle):
             assert fringe == pytest.approx(reference, rel=4e-15, abs=0.0)
 
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_lock_point_is_dark_in_fifty_digits(self, s, monkeypatch):
+        # Swapping the package's one square root runs the optimal gain and both
+        # routes in 50 digits, so layout c's dark port empties to that precision.
+        sqrt_in_mpmath(monkeypatch)
+        with mpmath.workdps(50):
+            H = squeezing_to_H(mpmath.mpf(s))
+            gain = optimal_gain(H)
+            assert isinstance(gain, mpmath.mpf)
+            config = ScenarioConfig("c", KIND_TWO_MODE, gain, H)
+            for counts in (evaluate_counts(config), reference_counts(config)):
+                assert counts.count_b < 1e-45
+
     def test_reference_anchors(self):
         counts = reference_counts(ScenarioConfig("a", KIND_CLASSICAL, 1.0, 1.0))
         assert (counts.count_a, counts.count_b) == (2.0, 1.0)
@@ -573,22 +586,15 @@ class TestSweep:
         assert table.visibility[1] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("layout, eta", [("a", None), ("b", ETA_AUTO), ("c", None)])
-    def test_low_gain_visibility_against_fifty_digits(self, layout, eta):
+    def test_low_gain_visibility_against_fifty_digits(self, layout, eta, monkeypatch):
         # The closed form at the same binary gain and H, in 50 digits: the column
         # holds every digit, where a difference of two nearly equal counts holds few.
-        H = squeezing_to_H(0.9)
-        table = sweep_gain(ScenarioConfig(layout, KIND_TWO_MODE, 0.0, H, eta), [1e-8, 1e-5, 1e-3])
+        config = ScenarioConfig(layout, KIND_TWO_MODE, 0.0, squeezing_to_H(0.9), eta)
+        table = sweep_gain(config, [1e-8, 1e-5, 1e-3])
+        sqrt_in_mpmath(monkeypatch)
         with mpmath.workdps(50):
-            root_h, root_h1 = mpmath.sqrt(H), mpmath.sqrt(mpmath.mpf(H) - 1)
             for gain, value in zip(table.gains.tolist(), table.visibility.tolist()):
-                noise_c = (gain * root_h - root_h1) ** 2
-                arm_d, noise_d = mpmath.mpf(1), 0
-                if layout == "b":
-                    arm_d = mpmath.sqrt(min(1, gain * gain + 4 * noise_c))
-                elif layout == "c":
-                    arm_d, noise_d = mpmath.mpf(gain), noise_c
-                total = (gain * gain + arm_d * arm_d) / 2 + 2 * (noise_c + noise_d)
-                exact = gain * arm_d / total
+                exact = visibility(reference_counts(replace(config, gain=mpmath.mpf(gain))))
                 assert abs(value - exact) <= 2e-15 * exact
 
     def test_dark_origin_row_records_nan(self):

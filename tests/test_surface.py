@@ -110,6 +110,22 @@ def test_package_squares_by_multiplying():
     assert powers == []
 
 
+def test_package_takes_one_square_root():
+    # Every square root of the engine and the closed form goes through
+    # modes._sqrt, so swapping modes.math runs them at any precision. The Fock
+    # oracle's table (fock._ROOTS) is exempt: it is the independent float
+    # route, which no swap should reach.
+    roots = {
+        (path.name, getattr(statement, "name", "<module>"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(statement)
+        if "sqrt" in (getattr(node, "attr", None), getattr(node, "id", None))
+        or isinstance(node, ast.alias) and node.name == "sqrt"
+    }
+    assert roots == {("modes.py", "_sqrt"), ("fock.py", "<module>")}
+
+
 def test_scenarios_have_no_overflow_path():
     # The admitted domain keeps every count and total finite, so scenarios.py
     # neither raises nor catches OverflowError, and no errstate(over=...)
