@@ -29,7 +29,6 @@ from .teleporter import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    TeleporterSpec,
     H_to_squeezing,
     coherent_fidelity,
     optimal_gain,
@@ -49,7 +48,6 @@ __all__ = [
     "optimize_eta",
     "sweep_gain",
     "default_gain_grid",
-    "TeleporterSpec",
     "KIND_TWO_MODE",
     "KIND_SINGLE_SQUEEZER",
     "KIND_CLASSICAL",

@@ -24,8 +24,8 @@ from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
     PUMP_GAIN_MAX,
-    TeleporterSpec,
     H_to_squeezing,
+    check_channel,
     coherent_fidelity,
     squeezing_to_H,
 )
@@ -205,7 +205,8 @@ def _resolve(
     try:
         _cell_format(args) % 0.0
         if args.command == "fidelity":
-            spec = TeleporterSpec(_SOURCE_BY_FLAG[args.source], 1.0, _pump_gain(args))
+            kind, H = _SOURCE_BY_FLAG[args.source], _pump_gain(args)
+            check_channel(kind, 1.0, H)
         else:
             grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
             if args.command == "classical-max":
@@ -221,7 +222,7 @@ def _resolve(
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "fidelity":
-        row = (spec.kind, H_to_squeezing(spec.H), spec.H, coherent_fidelity(spec))
+        row = (kind, H_to_squeezing(H), H, coherent_fidelity(kind, H))
         return _render_line(FIDELITY_HEADER, row, args)
     if args.command == "classical-max":
         table = sweep_gain(curves[0][1], grid)

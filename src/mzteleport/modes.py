@@ -12,10 +12,11 @@ to one closed-form field per output port. A registry holds the two signal
 modes from the start; an element that needs vacuum inputs draws fresh ones
 from its input field's registry, so no two elements can share one.
 
-The algebra checks no physical range (``TeleporterSpec`` and ``ScenarioConfig``
-check them once, on construction), casts no number, and squares by multiplying,
-never with ``**``. :func:`_sqrt` is its one square root and the closed form's, so
-swapping this module's ``math`` runs both on exact sympy expressions or mpmath numbers.
+The algebra checks no physical range (``ScenarioConfig`` checks them once, on
+construction, as do the free functions that take raw values), casts no number,
+and squares by multiplying, never with ``**``. :func:`_sqrt` is its one square
+root and the closed form's, so swapping this module's ``math`` runs both on exact
+sympy expressions or mpmath numbers.
 """
 
 from __future__ import annotations

@@ -27,12 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .modes import LinearField, ModeRegistry, _sqrt, annihilator_field, attenuate, beamsplitter
-from .photometry import HORIZONTAL, PortCounts, _contrast, port_count
+from .photometry import _FINITE_MAX, HORIZONTAL, PortCounts, _contrast, port_count
 from .teleporter import (
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    TeleporterSpec,
     _check_number,
+    check_channel,
     noise_amplitudes,
     teleport_single_squeezer,
     teleport_two_mode,
@@ -72,9 +72,8 @@ class ScenarioConfig:
 
     ``eta`` is the attenuator transmission and exists only for layout ``b``;
     pass :data:`ETA_AUTO` to let each evaluation pick the visibility-maximizing
-    value for its gain. Construction builds the configuration's
-    :class:`TeleporterSpec`, which checks the channel, and checks ``eta``,
-    once: the elements :func:`build_scenario` runs check none.
+    value for its gain. Construction checks the channel (:func:`check_channel`)
+    and ``eta``, once: the elements :func:`build_scenario` runs check none.
 
     A configuration over a block of gains is not hashable, and ``==``
     between two of them raises, as numpy's ``==`` of two arrays does.
@@ -89,9 +88,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        # Not a dataclass field: equality, hashing and repr stay those of
-        # the five parameters the spec is built from.
-        object.__setattr__(self, "_spec", TeleporterSpec(self.source, self.gain, self.H))
+        check_channel(self.source, self.gain, self.H)
         if self.layout == "b":
             if self.eta is None:
                 raise ValueError("layout 'b' needs an attenuator setting (eta)")
@@ -139,14 +136,13 @@ def build_scenario(config: ScenarioConfig) -> ScenarioOutputs:
     reg = ModeRegistry()
     signal_h, signal_v = reg.signal_pair()
     vacuum_h, vacuum_v = reg.fresh_mode(), reg.fresh_mode()
-    spec = config._spec
     # (c, d), mixed by the last beamsplitter
     arm_c, arm_d = beamsplitter(annihilator_field(signal_h), annihilator_field(vacuum_h))
-    arm_c = _teleport_arm(arm_c, spec)
+    arm_c = _teleport_arm(arm_c, config)
     if config.layout == "b":
         arm_d = attenuate(arm_d, config.resolved_eta())
     elif config.layout == "c":
-        arm_d = _teleport_arm(arm_d, spec)
+        arm_d = _teleport_arm(arm_d, config)
     port_a, port_b = beamsplitter(arm_c, arm_d)
     index_map = {signal_h.index: signal_v.index, vacuum_h.index: vacuum_v.index}
     for index in sorted((arm_c.terms.keys() | arm_d.terms.keys()) - index_map.keys()):
@@ -280,9 +276,9 @@ def _gain_column(gain_grid: Sequence[float] | np.ndarray) -> np.ndarray:
 def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -> np.ndarray:
     """The standard sweep grid: ``steps`` evenly spaced gains on [start, stop].
 
-    The ends must be real numbers, the ends and their distance finite, and
-    ``steps`` an integer with ``2 <= steps <= MAX_GRID_STEPS``; these are
-    checked before any memory is allocated. A step below the float
+    The ends must be finite numbers of a type a gain may have, their distance
+    finite, and ``steps`` an integer with ``2 <= steps <= MAX_GRID_STEPS``;
+    these are checked before any memory is allocated. A step below the float
     resolution at the ends, which would repeat a gain, is rejected too.
     """
     if not (isinstance(steps, numbers.Integral) and 2 <= steps <= MAX_GRID_STEPS):
@@ -290,12 +286,14 @@ def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -
             f"a gain grid needs at least 2 and at most {MAX_GRID_STEPS} points "
             f"(an integer number of steps), got {steps!r}"
         )
-    real = isinstance(start, numbers.Real) and isinstance(stop, numbers.Real)
-    if not (real and -math.inf < start < stop < math.inf):
-        raise ValueError(f"grid needs real, finite start < stop, got [{start!r}, {stop!r}]")
-    if not math.isfinite(stop - start):
+    rule = "grid needs real, finite start < stop"
+    for end in (start, stop):
+        _check_number(end, -_FINITE_MAX, _FINITE_MAX, rule)
+    if not start < stop:
+        raise ValueError(f"{rule}, got [{start!r}, {stop!r}]")
+    if not math.isfinite(float(stop) - float(start)):
         raise ValueError(f"grid span from {start!r} to {stop!r} overflows a float")
-    grid = np.linspace(start, stop, steps)
+    grid = np.linspace(float(start), float(stop), steps)
     if not (grid[1:] > grid[:-1]).all():
         raise ValueError(
             f"grid step is below float resolution: {steps} points on "
@@ -304,11 +302,11 @@ def default_gain_grid(start: float = 0.0, stop: float = 1.5, steps: int = 301) -
     return grid
 
 
-def _teleport_arm(field: LinearField, spec: TeleporterSpec) -> LinearField:
-    """The channel map that the spec's kind runs in a teleported arm."""
-    if spec.kind == KIND_SINGLE_SQUEEZER:
-        return teleport_single_squeezer(field, spec)
-    return teleport_two_mode(field, spec)
+def _teleport_arm(field: LinearField, config: ScenarioConfig) -> LinearField:
+    """The channel map that the configuration's source runs in a teleported arm."""
+    if config.source == KIND_SINGLE_SQUEEZER:
+        return teleport_single_squeezer(field, config.gain, config.H)
+    return teleport_two_mode(field, config.gain, config.H)
 
 
 def _port_noise(source: str, gain: float, H: float) -> float:

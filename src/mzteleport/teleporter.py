@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "KINDS",
     "GAIN_MAX",
     "PUMP_GAIN_MAX",
-    "TeleporterSpec",
     "check_pump_gain",
     "check_channel",
     "noise_amplitudes",
@@ -114,18 +112,6 @@ def _check_range(value, low: float, high: float, rule: str) -> None:
         _check_number(end, low, high, rule)
 
 
-@dataclass(frozen=True)
-class TeleporterSpec:
-    """Channel family plus feedforward gain (or a 1-D array of gains) and squeezer pump gain."""
-
-    kind: str
-    gain: float | np.ndarray
-    H: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_channel(self.kind, self.gain, self.H)
-
-
 def noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
     """Ancilla coefficients of the channel at feedforward ``gain`` and pump gain ``H``.
 
@@ -137,47 +123,44 @@ def noise_amplitudes(gain: float, H: float) -> tuple[float, float]:
     return gain * root_h - root_h1, root_h - gain * root_h1
 
 
-def teleport_two_mode(c: LinearField, spec: TeleporterSpec) -> LinearField:
+def teleport_two_mode(c: LinearField, gain: float | np.ndarray, H: float) -> LinearField:
     """Teleporter channel backed by a two-mode entangled pair.
 
     Output is ``gain*c + A f1^dag + B f2`` with ``(A, B)`` the noise
     amplitudes and (f1, f2) the squeezer's vacuum ancillas, drawn fresh
-    from c's registry. The classical kind is the same map pinned at ``H = 1``.
+    from c's registry; the classical kind is the same map at ``H = 1``. Like
+    every element, it takes checked values (:func:`check_channel`).
     """
-    if spec.kind not in (KIND_TWO_MODE, KIND_CLASSICAL):
-        raise ValueError(f"two-mode channel cannot run a {spec.kind!r} spec")
-    return combine(spec.gain, c, 1.0, _channel_noise(spec, c.registry))
+    return combine(gain, c, 1.0, _channel_noise(KIND_TWO_MODE, gain, H, c.registry))
 
 
-def teleport_single_squeezer(c: LinearField, spec: TeleporterSpec) -> LinearField:
+def teleport_single_squeezer(c: LinearField, gain: float | np.ndarray, H: float) -> LinearField:
     """Teleporter channel whose resource is one squeezed beam split in half.
 
     Output is ``gain*c + (A f1^dag + B f1 + gain f2^dag + f2)/sqrt(2)``,
     with (f1, f2) drawn fresh from c's registry; the extra ``f2`` terms are
     the vacuum entering the splitting beamsplitter, which is what degrades
-    this channel relative to the genuinely two-mode one.
+    this channel relative to the genuinely two-mode one. It takes checked values.
     """
-    if spec.kind != KIND_SINGLE_SQUEEZER:
-        raise ValueError(f"single-squeezer channel cannot run a {spec.kind!r} spec")
-    return combine(spec.gain, c, 1.0, _channel_noise(spec, c.registry))
+    return combine(gain, c, 1.0, _channel_noise(KIND_SINGLE_SQUEEZER, gain, H, c.registry))
 
 
-def _channel_noise(spec: TeleporterSpec, registry: ModeRegistry) -> LinearField:
-    """The noise field the channel adds to ``gain*c``, on a pair drawn fresh from ``registry``."""
+def _channel_noise(kind: str, gain, H, registry: ModeRegistry) -> LinearField:
+    """The noise a ``kind`` channel adds to ``gain*c``, on a pair drawn fresh from ``registry``."""
     f1, f2 = registry.fresh_mode(), registry.fresh_mode()
-    creation_amp, passthrough_amp = noise_amplitudes(spec.gain, spec.H)
-    if spec.kind == KIND_SINGLE_SQUEEZER:
+    creation_amp, passthrough_amp = noise_amplitudes(gain, H)
+    if kind == KIND_SINGLE_SQUEEZER:
         half_root2 = _sqrt(2) / 2
         terms = {
             f1: (passthrough_amp * half_root2, creation_amp * half_root2),
-            f2: (half_root2, spec.gain * half_root2),
+            f2: (half_root2, gain * half_root2),
         }
     else:
         terms = {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)}
     return field_from_terms(registry, terms)
 
 
-def teleport_composed(c: LinearField, spec: TeleporterSpec) -> LinearField:
+def teleport_composed(c: LinearField, gain: float | np.ndarray, H: float) -> LinearField:
     """The two-mode channel built from its physical parts.
 
     Entangle a fresh ancilla pair (:func:`two_mode_squeezer` on c's
@@ -189,16 +172,16 @@ def teleport_composed(c: LinearField, spec: TeleporterSpec) -> LinearField:
 
     Agrees with :func:`teleport_two_mode` on every coefficient magnitude
     and every downstream expectation value; the creation-side coefficient
-    carries the opposite sign, which no observable sees.
+    carries the opposite sign, which no observable sees. The channel is
+    checked here (:func:`check_channel`), as a reference route takes raw values.
     """
-    if spec.kind != KIND_TWO_MODE:
-        raise ValueError(f"composed channel cannot run a {spec.kind!r} spec")
-    e1, e2 = two_mode_squeezer(c.registry, spec.H)
+    check_channel(KIND_TWO_MODE, gain, H)
+    e1, e2 = two_mode_squeezer(c.registry, H)
     mix_sum, mix_diff = beamsplitter(c, e1)
     x_meas = combine(1.0, mix_diff, 1.0, dagger(mix_diff))
     p_meas = combine(-1j, mix_sum, 1j, dagger(mix_sum))
     measured = combine(0.5, x_meas, 0.5j, p_meas)
-    return combine(1.0, e2, spec.gain * _sqrt(2), measured)
+    return combine(1.0, e2, gain * _sqrt(2), measured)
 
 
 def optimal_gain(H: float) -> float:
@@ -228,17 +211,14 @@ def H_to_squeezing(H: float) -> float:
     return 1.0 - 1.0 / (root_sum * root_sum)
 
 
-def coherent_fidelity(spec: TeleporterSpec) -> float:
-    """Average coherent-state fidelity of the channel at unity gain.
+def coherent_fidelity(kind: str, H: float) -> float:
+    """Average coherent-state fidelity of a ``kind`` channel at pump gain ``H``.
 
-    Computed from the quadrature variances (V_X, V_P) of the channel's
-    noise field as ``2 / sqrt((2 + V_X) * (2 + V_P))``; the classical
-    channel lands on exactly 1/2, the usual no-entanglement bound. A spec
-    over a block of gains is rejected: the fidelity is one number.
+    Computed at unity gain, the one gain a fidelity is defined at, from the
+    quadrature variances (V_X, V_P) of the channel's noise field as
+    ``2 / sqrt((2 + V_X) * (2 + V_P))``; the classical channel lands on
+    exactly 1/2, the usual no-entanglement bound.
     """
-    if isinstance(spec.gain, np.ndarray):
-        raise ValueError("coherent fidelity takes one gain, not a block of gains")
-    if spec.gain != 1.0:
-        raise ValueError("coherent fidelity is defined at unity gain only")
-    v_x, v_p = quadrature_variances(_channel_noise(spec, ModeRegistry()))
+    check_channel(kind, 1, H)
+    v_x, v_p = quadrature_variances(_channel_noise(kind, 1, H, ModeRegistry()))
     return 2.0 / _sqrt((2.0 + v_x) * (2.0 + v_p))

@@ -19,7 +19,6 @@ from mzteleport import (
     KIND_TWO_MODE,
     QubitInput,
     ScenarioConfig,
-    TeleporterSpec,
     build_scenario,
     coherent_fidelity,
     default_gain_grid,
@@ -231,11 +230,9 @@ def test_criterion_8_source_comparison():
 
 
 def test_criterion_9_fidelity_anchors():
-    classical = coherent_fidelity(TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0))
-    two_mode = coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, 1.0, squeezing_to_H(0.5)))
-    single = coherent_fidelity(
-        TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, squeezing_to_H(0.875))
-    )
+    classical = coherent_fidelity(KIND_CLASSICAL, 1.0)
+    two_mode = coherent_fidelity(KIND_TWO_MODE, squeezing_to_H(0.5))
+    single = coherent_fidelity(KIND_SINGLE_SQUEEZER, squeezing_to_H(0.875))
     gap = abs(single - two_mode)
     ok = abs(classical - 0.5) <= 1e-9 and gap <= 0.03
     report(
@@ -294,7 +291,6 @@ def test_criterion_12_composition_check():
     worst = 0.0
     for gain in (0.5, 1.0):
         for H in (1.125, 3.025):
-            spec = TeleporterSpec(KIND_TWO_MODE, gain, H)
             direct_reg = ModeRegistry()
             composed_reg = ModeRegistry()
             fields = {}
@@ -303,7 +299,7 @@ def test_criterion_12_composition_check():
                 ("composed", composed_reg, teleport_composed),
             ):
                 c_mode, _ = reg.signal_pair()
-                fields[name] = (channel(annihilator_field(c_mode), spec), reg)
+                fields[name] = (channel(annihilator_field(c_mode), gain, H), reg)
             direct, direct_reg = fields["direct"]
             composed, composed_reg = fields["composed"]
             for index in range(4):

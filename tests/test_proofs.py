@@ -41,7 +41,6 @@ import sympy as sp
 from conftest import commutator
 from mzteleport import (
     H_to_squeezing,
-    TeleporterSpec,
     build_scenario,
     coherent_fidelity,
     modes,
@@ -165,8 +164,7 @@ def test_outputs_canonical_and_commuting(layout, kind):
 def test_teleported_annihilator_is_canonical(kind):
     # The channel build_scenario runs in a teleported arm, on a bare input.
     signal = annihilator_field(ModeRegistry().fresh_mode())
-    spec = TeleporterSpec(kind, GAIN, pump_gain(kind))
-    assert_canonical_and_commuting([_teleport_arm(signal, spec)])
+    assert_canonical_and_commuting([_teleport_arm(signal, symbolic_config("a", kind))])
 
 
 def test_two_mode_squeezer_outputs_canonical_and_commuting():
@@ -207,7 +205,7 @@ def test_balanced_eta_is_stationary_point_of_visibility(kind):
 @pytest.mark.parametrize("kind", [KIND_TWO_MODE, KIND_CLASSICAL])
 def test_fidelity_closed_form(kind):
     H = pump_gain(kind)
-    fidelity = coherent_fidelity(TeleporterSpec(kind, 1, H))
+    fidelity = coherent_fidelity(kind, H)
     assert sp.cancel(sp.together(fidelity - 1 / (2 - H_to_squeezing(H)))) == 0
 
 
@@ -216,9 +214,8 @@ def test_composed_teleporter_is_direct_map_up_to_ancilla_phase():
     # except that f1's creation coefficient changes sign: the relabelling
     # f1 -> -f1 of a private ancilla, which no count sees.
     # On its own registry, each call draws the ancilla pair (f1, f2) at indices 2 and 3.
-    spec = TeleporterSpec(KIND_TWO_MODE, GAIN, 1 + K)
     composed, direct = (
-        channel(annihilator_field(ModeRegistry().signal_pair()[0]), spec).terms
+        channel(annihilator_field(ModeRegistry().signal_pair()[0]), GAIN, 1 + K).terms
         for channel in (teleport_composed, teleport_two_mode)
     )
     assert composed.keys() == direct.keys()
@@ -262,9 +259,9 @@ def test_unity_gain_visibility_fixes_fidelity(kind):
     # Bob's read-out: at unity gain in layout c, F = 4V / (1 + 3V), written
     # over the total count as F (4a - 2b) = 4 (a - b). The single-squeezer
     # identity, F^2 = V / (1 - V), fails until that kind's fidelity is fixed
-    # (ROADMAP item 1), which also moves its closed form in bench/checks.py.
+    # (ROADMAP item 15), which also moves its closed form in bench/checks.py.
     H = pump_gain(kind)
     bright, dark = network_counts(ScenarioConfig("c", kind, 1, H))
-    fidelity = coherent_fidelity(TeleporterSpec(kind, 1, H))
+    fidelity = coherent_fidelity(kind, H)
     identity = fidelity * (4 * bright - 2 * dark) - 4 * (bright - dark)
     assert sp.cancel(sp.together(reduce(identity))) == 0

@@ -29,7 +29,6 @@ from mzteleport import (
     QubitInput,
     ScenarioConfig,
     SweepTable,
-    TeleporterSpec,
     build_scenario,
     default_gain_grid,
     evaluate_counts,
@@ -87,8 +86,8 @@ def counts_shaped_as(fringe) -> tuple:
 
 
 DOMAIN_SITES = {
-    "spec gain": (lambda x: TeleporterSpec(KIND_TWO_MODE, x, 1.125), 0.0, GAIN_MAX, GAIN_NAME),
-    "spec H": (lambda x: TeleporterSpec(KIND_TWO_MODE, 0.5, x), 1.0, PUMP_GAIN_MAX, PUMP_NAME),
+    "channel gain": (lambda x: check_channel(KIND_TWO_MODE, x, 1.125), 0.0, GAIN_MAX, GAIN_NAME),
+    "channel H": (lambda x: check_channel(KIND_TWO_MODE, 0.5, x), 1.0, PUMP_GAIN_MAX, PUMP_NAME),
     "config gain": (
         lambda x: ScenarioConfig("a", KIND_TWO_MODE, x, 1.125), 0.0, GAIN_MAX, GAIN_NAME
     ),
@@ -126,8 +125,8 @@ OUTSIDE_KINDS = (
 )
 # The sites of a physical parameter, whose rejection tells a wrong type from a value
 # outside the range; a gain and a count also take a block.
-BLOCK_SITES = ("spec gain", "config gain", "port counts", "port fringe")
-PHYSICAL_SITES = (*BLOCK_SITES, "spec H", "config H", "config eta", "squeezing")
+BLOCK_SITES = ("channel gain", "config gain", "port counts", "port fringe")
+PHYSICAL_SITES = (*BLOCK_SITES, "channel H", "config H", "config eta", "squeezing")
 TYPE_KINDS = ("str", "list", "None", *DTYPE_KINDS, *SCALAR_KINDS)
 WRONG_TYPE = "of the wrong type"
 
@@ -209,6 +208,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=">= 1"):
             ScenarioConfig("a", KIND_TWO_MODE, 1.0, math.nextafter(PUMP_GAIN_MAX, math.inf))
 
+    def test_carries_only_its_five_parameters(self):
+        config = ScenarioConfig("b", KIND_TWO_MODE, 0.5, 1.125, ETA_AUTO)
+        assert vars(config) == {
+            "layout": "b", "source": KIND_TWO_MODE, "gain": 0.5, "H": 1.125, "eta": ETA_AUTO
+        }
+
     def test_classical_requires_unit_pump(self):
         with pytest.raises(ValueError, match="H = 1"):
             ScenarioConfig("a", KIND_CLASSICAL, 1.0, 1.125)
@@ -285,7 +290,7 @@ class TestConfigValidation:
             calls.append(gain)
             return check_channel(kind, gain, H)
 
-        monkeypatch.setattr(teleporter, "check_channel", counting)
+        monkeypatch.setattr(scenarios, "check_channel", counting)
         H = 1.0 if source == KIND_CLASSICAL else 1.125
         config = ScenarioConfig(layout, source, 0.0, H, eta)
         grid = [0.25, 0.5, 0.75, 1.0, 1.25]
@@ -415,9 +420,8 @@ class TestNetworkStructure:
 
     def test_composed_channel_is_complex(self):
         # Its homodyne phase quadrature brings in +/- 1j: a complex number, kept.
-        spec = TeleporterSpec(KIND_TWO_MODE, 0.5, 1.125)
         signal, _ = ModeRegistry().signal_pair()
-        field = teleporter.teleport_composed(annihilator_field(signal), spec)
+        field = teleporter.teleport_composed(annihilator_field(signal), 0.5, 1.125)
         assert any(type(c) is complex for pair in field.terms.values() for c in pair)
 
     # Elements draw their own ancillas, so none is shared; this physics
@@ -441,18 +445,17 @@ class TestNetworkStructure:
     @pytest.mark.parametrize("layout, eta", [("a", None), ("b", ETA_AUTO), ("b", 0.37), ("c", None)])
     def test_mapped_polarization_is_the_built_one(self, layout, eta, source, gain):
         config = ScenarioConfig(layout, source, gain, 1.0 if source == KIND_CLASSICAL else 1.7, eta)
-        spec = TeleporterSpec(source, gain, config.H)
         teleport = teleport_single_squeezer if source == KIND_SINGLE_SQUEEZER else teleport_two_mode
         reg = ModeRegistry()
         vacua = (reg.fresh_mode(), reg.fresh_mode())
         built = []  # per polarization: arm c, arm d, port a, port b
         for signal, vacuum in zip(reg.signal_pair(), vacua):
             arm_c, arm_d = beamsplitter(annihilator_field(signal), annihilator_field(vacuum))
-            arm_c = teleport(arm_c, spec)
+            arm_c = teleport(arm_c, gain, config.H)
             if layout == "b":
                 arm_d = attenuate(arm_d, config.resolved_eta())
             elif layout == "c":
-                arm_d = teleport(arm_d, spec)
+                arm_d = teleport(arm_d, gain, config.H)
             built.append((arm_c, arm_d, *beamsplitter(arm_c, arm_d)))
         outputs = build_scenario(config)
         mapped = [(*arms, a, b) for arms, a, b in zip(outputs.arms, outputs.port_a, outputs.port_b)]
@@ -641,6 +644,17 @@ class TestSweep:
             with pytest.raises(ValueError, match="real, finite start < stop"):
                 default_gain_grid(start, stop)
         assert default_gain_grid(0, 1.5, np.int64(3)).tolist() == [0.0, 0.75, 1.5]
+
+    def test_grid_ends_are_numbers_a_parameter_takes(self):
+        # A bool or a numpy scalar other than float64 is refused by name, as a gain is;
+        # every admitted end gives a float64 grid, which a configuration takes as a block.
+        for start, stop in ((False, True), (np.float32(0.0), np.float32(1.5))):
+            with pytest.raises(ValueError, match=f"of the wrong type {type(start).__name__}"):
+                default_gain_grid(start, stop, 3)
+        for start, stop in ((0, 1), (np.float64(0.0), 1.5), (Fraction(0), Fraction(3, 2))):
+            grid = default_gain_grid(start, stop, 3)
+            assert grid.dtype == np.float64
+            replace(ScenarioConfig("a", KIND_TWO_MODE, 0.0, 1.125), gain=grid)
 
     # Every route stays finite on the whole admitted domain: a log-uniform
     # draw of gain and H - 1, and the domain's four corners. A numpy

@@ -20,7 +20,7 @@ from mzteleport import HORIZONTAL, ScenarioConfig, build_scenario, cli, fock, mo
 # independent verification routes; everything else lives in a submodule.
 PUBLIC = """
     ScenarioConfig ETA_AUTO SweepTable build_scenario evaluate_counts reference_counts
-    optimize_eta sweep_gain default_gain_grid TeleporterSpec KIND_TWO_MODE
+    optimize_eta sweep_gain default_gain_grid KIND_TWO_MODE
     KIND_SINGLE_SQUEEZER KIND_CLASSICAL optimal_gain squeezing_to_H H_to_squeezing
     coherent_fidelity teleport_composed QubitInput HORIZONTAL PortCounts photon_flux
     port_count visibility oracle_flux __version__
@@ -42,7 +42,7 @@ SUBMODULE_EXPORTS = {
         build_scenario evaluate_counts reference_counts optimize_eta sweep_gain
         default_gain_grid""",
     "teleporter": """KIND_TWO_MODE KIND_SINGLE_SQUEEZER KIND_CLASSICAL KINDS GAIN_MAX
-        PUMP_GAIN_MAX TeleporterSpec check_pump_gain check_channel noise_amplitudes
+        PUMP_GAIN_MAX check_pump_gain check_channel noise_amplitudes
         teleport_two_mode teleport_single_squeezer teleport_composed optimal_gain
         squeezing_to_H H_to_squeezing coherent_fidelity""",
 }
@@ -51,7 +51,7 @@ SUBMODULES = sorted(SUBMODULE_EXPORTS)
 
 class TestPublicNames:
     def test_all_lists_the_documented_names(self):
-        assert len(PUBLIC) == 26
+        assert len(PUBLIC) == 25
         assert sorted(mzteleport.__all__) == sorted(PUBLIC)
         for name in PUBLIC:
             assert getattr(mzteleport, name) is not None

@@ -13,7 +13,7 @@ from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
     KIND_TWO_MODE,
-    TeleporterSpec,
+    ScenarioConfig,
     coherent_fidelity,
     H_to_squeezing,
     optimal_gain,
@@ -30,9 +30,11 @@ from mzteleport.modes import (
     quadrature_variances,
     two_mode_squeezer,
 )
+from mzteleport.scenarios import _teleport_arm
 from mzteleport.teleporter import (
     GAIN_MAX,
     PUMP_GAIN_MAX,
+    check_channel,
     noise_amplitudes,
     teleport_single_squeezer,
     teleport_two_mode,
@@ -53,62 +55,48 @@ def drawn_pair(c):
     return ModeId(2, c.registry), ModeId(3, c.registry)
 
 
-class TestSpec:
+class TestChannelCheck:
     def test_classical_pins_pump_gain(self):
-        TeleporterSpec(KIND_CLASSICAL, 0.5, 1.0)
+        check_channel(KIND_CLASSICAL, 0.5, 1.0)
         with pytest.raises(ValueError, match="exactly 1"):
-            TeleporterSpec(KIND_CLASSICAL, 0.5, 1.125)
+            check_channel(KIND_CLASSICAL, 0.5, 1.125)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="kind"):
-            TeleporterSpec("entangled", 1.0, 1.0)
+            check_channel("entangled", 1.0, 1.0)
         with pytest.raises(ValueError, match=">= 0"):
-            TeleporterSpec(KIND_TWO_MODE, -0.1, 1.0)
+            check_channel(KIND_TWO_MODE, -0.1, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            TeleporterSpec(KIND_TWO_MODE, 1.0, 0.9)
+            check_channel(KIND_TWO_MODE, 1.0, 0.9)
         with pytest.raises(ValueError, match=">= 0"):
-            TeleporterSpec(KIND_TWO_MODE, math.nan, 1.0)
+            check_channel(KIND_TWO_MODE, math.nan, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            TeleporterSpec(KIND_TWO_MODE, 1.0, math.nan)
+            check_channel(KIND_TWO_MODE, 1.0, math.nan)
         with pytest.raises(ValueError, match=">= 0"):
-            TeleporterSpec(KIND_TWO_MODE, math.inf, 1.0)
+            check_channel(KIND_TWO_MODE, math.inf, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            TeleporterSpec(KIND_TWO_MODE, 1.0, math.inf)
+            check_channel(KIND_TWO_MODE, 1.0, math.inf)
         with pytest.raises(ValueError, match=">= 0"):
-            TeleporterSpec(KIND_TWO_MODE, PAST_GAIN_MAX, 1.0)
+            check_channel(KIND_TWO_MODE, PAST_GAIN_MAX, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            TeleporterSpec(KIND_TWO_MODE, 1.0, PAST_PUMP_GAIN_MAX)
-        TeleporterSpec(KIND_TWO_MODE, GAIN_MAX, PUMP_GAIN_MAX)
+            check_channel(KIND_TWO_MODE, 1.0, PAST_PUMP_GAIN_MAX)
+        check_channel(KIND_TWO_MODE, GAIN_MAX, PUMP_GAIN_MAX)
 
     def test_rejects_bad_pump_gain(self):
         # The squeezer's pump gain is checked here, once; the squeezer itself checks nothing.
         for kind in (KIND_TWO_MODE, KIND_SINGLE_SQUEEZER):
             for H in (0.5, math.nan, math.inf, PAST_PUMP_GAIN_MAX):
                 with pytest.raises(ValueError, match=">= 1"):
-                    TeleporterSpec(kind, 1.0, H)
-
-    def test_kind_routing_enforced(self):
-        c = channel_input()
-        single = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, 2.0)
-        with pytest.raises(ValueError, match="two-mode channel"):
-            teleport_two_mode(c, single)
-        two_mode = TeleporterSpec(KIND_TWO_MODE, 1.0, 2.0)
-        with pytest.raises(ValueError, match="single-squeezer channel"):
-            teleport_single_squeezer(c, two_mode)
-        classical = TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)
-        with pytest.raises(ValueError, match="composed channel"):
-            teleport_composed(c, classical)
+                    check_channel(kind, 1.0, H)
 
 
 # Each element and the number of vacuum modes it draws from its input's registry.
-TWO_MODE_SPEC = TeleporterSpec(KIND_TWO_MODE, 0.5, 2.0)
-SINGLE_SPEC = TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.5, 2.0)
 DRAWING_ELEMENTS = {
     "attenuate": (lambda c: [attenuate(c, 0.5)], 1),
     "two_mode_squeezer": (lambda c: two_mode_squeezer(c.registry, 2.0), 2),
-    "teleport_two_mode": (lambda c: [teleport_two_mode(c, TWO_MODE_SPEC)], 2),
-    "teleport_single_squeezer": (lambda c: [teleport_single_squeezer(c, SINGLE_SPEC)], 2),
-    "teleport_composed": (lambda c: [teleport_composed(c, TWO_MODE_SPEC)], 2),
+    "teleport_two_mode": (lambda c: [teleport_two_mode(c, 0.5, 2.0)], 2),
+    "teleport_single_squeezer": (lambda c: [teleport_single_squeezer(c, 0.5, 2.0)], 2),
+    "teleport_composed": (lambda c: [teleport_composed(c, 0.5, 2.0)], 2),
 }
 
 
@@ -133,8 +121,7 @@ def test_element_draws_exactly_its_own_modes(name):
 class TestTwoModeChannel:
     def test_unity_gain_no_entanglement(self):
         c = channel_input()
-        spec = TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)
-        out = teleport_two_mode(c, spec)
+        out = teleport_two_mode(c, 1.0, 1.0)
         f1, f2 = drawn_pair(c)
         assert out.terms[sorted(c.terms)[0]] == (1.0, 0.0)
         assert out.coefficient(f1) == (0.0, 1.0)
@@ -147,7 +134,7 @@ class TestTwoModeChannel:
         c = channel_input()
         gain = optimal_gain(1.125)
         assert gain == 1 / 3
-        out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, gain, 1.125))
+        out = teleport_two_mode(c, gain, 1.125)
         f1, f2 = drawn_pair(c)
         assert abs(out.coefficient(f1)[1]) <= 1e-15
         assert out.coefficient(f2)[0] == pytest.approx(
@@ -155,8 +142,11 @@ class TestTwoModeChannel:
         )
 
     def test_classical_kind_equals_two_mode_at_unit_pump(self):
-        classical = teleport_two_mode(channel_input(), TeleporterSpec(KIND_CLASSICAL, 0.7, 1.0))
-        two_mode = teleport_two_mode(channel_input(), TeleporterSpec(KIND_TWO_MODE, 0.7, 1.0))
+        # The maps a teleported arm runs for the two kinds, at H = 1.
+        classical, two_mode = (
+            _teleport_arm(channel_input(), ScenarioConfig("a", kind, 0.7, 1.0))
+            for kind in (KIND_CLASSICAL, KIND_TWO_MODE)
+        )
         assert classical.terms == two_mode.terms
 
     def test_strong_squeezing_noise_shrinks(self):
@@ -165,7 +155,7 @@ class TestTwoModeChannel:
         weights = []
         for H in (10.0, 100.0, 1e4):
             c = channel_input()
-            out = teleport_two_mode(c, TeleporterSpec(KIND_TWO_MODE, 1.0, H))
+            out = teleport_two_mode(c, 1.0, H)
             f1, f2 = drawn_pair(c)
             weight = abs(out.coefficient(f1)[1]) + abs(out.coefficient(f2)[0])
             assert weight <= 1.0 / math.sqrt(H - 1.0)
@@ -177,7 +167,7 @@ class TestSingleSqueezerChannel:
     def test_zero_gain_form(self):
         c = channel_input()
         H = 2.0
-        out = teleport_single_squeezer(c, TeleporterSpec(KIND_SINGLE_SQUEEZER, 0.0, H))
+        out = teleport_single_squeezer(c, 0.0, H)
         f1, f2 = drawn_pair(c)
         r = math.sqrt(0.5)
         assert out.terms[sorted(c.terms)[0]] == (0.0, 0.0)
@@ -190,8 +180,7 @@ class TestSingleSqueezerChannel:
         # With 87.5% squeezing all added noise sits in one quadrature:
         # variances (2.25, 0).
         c = channel_input()
-        spec = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, squeezing_to_H(0.875))
-        out = teleport_single_squeezer(c, spec)
+        out = teleport_single_squeezer(c, 1.0, squeezing_to_H(0.875))
         noise = combine(1.0, out, -1.0, c)
         v_x, v_p = quadrature_variances(noise)
         assert v_x == pytest.approx(2.25, abs=1e-12)
@@ -201,7 +190,7 @@ class TestSingleSqueezerChannel:
 class TestComposedChannel:
     def test_strong_squeezing_limit(self):
         c = channel_input()
-        out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1e4))
+        out = teleport_composed(c, 1.0, 1e4)
         f1, f2 = drawn_pair(c)
         assert abs(out.terms[sorted(c.terms)[0]][0]) == pytest.approx(1.0, abs=1e-12)
         creation_weight = abs(out.coefficient(f1)[1]) + abs(out.coefficient(f2)[1])
@@ -209,7 +198,7 @@ class TestComposedChannel:
 
     def test_no_entanglement_noise_variances(self):
         c = channel_input()
-        out = teleport_composed(c, TeleporterSpec(KIND_TWO_MODE, 1.0, 1.0))
+        out = teleport_composed(c, 1.0, 1.0)
         noise = combine(1.0, out, -1.0, c)
         v_x, v_p = quadrature_variances(noise)
         assert v_x == pytest.approx(2.0, abs=1e-12)
@@ -226,8 +215,7 @@ class TestOperatingPoints:
 
     @pytest.mark.parametrize("H", [1.0, 1.125, 2.53125, 3.025, 10.0])
     def test_optimal_gain_zeroes_creation_amplitude(self, H):
-        spec = TeleporterSpec(KIND_TWO_MODE, optimal_gain(H), H)
-        creation_amp, _ = noise_amplitudes(spec.gain, spec.H)
+        creation_amp, _ = noise_amplitudes(optimal_gain(H), H)
         assert abs(creation_amp) <= 1e-15
 
     def test_squeezing_conversions(self):
@@ -257,15 +245,14 @@ class TestOperatingPoints:
 
 class TestCoherentFidelity:
     def test_classical_bound(self):
-        assert coherent_fidelity(TeleporterSpec(KIND_CLASSICAL, 1.0, 1.0)) == 0.5
+        assert coherent_fidelity(KIND_CLASSICAL, 1.0) == 0.5
 
     def test_two_mode_half_squeezing(self):
-        spec = TeleporterSpec(KIND_TWO_MODE, 1.0, squeezing_to_H(0.5))
-        assert coherent_fidelity(spec) == pytest.approx(2 / 3, abs=1e-12)
+        fidelity = coherent_fidelity(KIND_TWO_MODE, squeezing_to_H(0.5))
+        assert fidelity == pytest.approx(2 / 3, abs=1e-12)
 
     def test_single_squeezer_matched_point(self):
-        spec = TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, squeezing_to_H(0.875))
-        value = coherent_fidelity(spec)
+        value = coherent_fidelity(KIND_SINGLE_SQUEEZER, squeezing_to_H(0.875))
         assert value == pytest.approx(2.0 / math.sqrt(8.5), abs=1e-12)
         assert value == pytest.approx(0.686, abs=5e-4)
 
@@ -276,15 +263,20 @@ class TestCoherentFidelity:
         # against, at the squeezing the pump gain holds: H - 1 ~ s^2/4 is
         # held to only ~1e-16 absolute, so a small s is not carried exactly.
         H = squeezing_to_H(s)
-        two_mode = coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, 1.0, H))
-        single = coherent_fidelity(TeleporterSpec(KIND_SINGLE_SQUEEZER, 1.0, H))
+        two_mode = coherent_fidelity(KIND_TWO_MODE, H)
+        single = coherent_fidelity(KIND_SINGLE_SQUEEZER, H)
         s = H_to_squeezing(H)
         assert two_mode == pytest.approx(1.0 / (2.0 - s), abs=1e-12)
         assert single == pytest.approx(1.0 / math.sqrt(3.0 - s), abs=1e-12)
 
-    def test_requires_unity_gain(self):
-        with pytest.raises(ValueError, match="unity gain"):
-            coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, 0.9, 1.125))
-        # The fidelity is one number: a block of gains, even of unity gains, has none.
-        with pytest.raises(ValueError, match="one gain, not a block"):
-            coherent_fidelity(TeleporterSpec(KIND_TWO_MODE, np.array([1.0, 1.0]), 1.125))
+    def test_fidelity_and_composed_route_check_their_channel(self):
+        # Free functions that take raw values check them; the channel maps take checked ones.
+        with pytest.raises(ValueError, match="exactly 1"):
+            coherent_fidelity(KIND_CLASSICAL, 1.125)
+        with pytest.raises(ValueError, match=">= 0"):
+            teleport_composed(channel_input(), -0.5, 1.125)
+        block = np.array([1.125, 2.0])
+        with pytest.raises(ValueError, match="pump gain.* of the wrong type ndarray"):
+            coherent_fidelity(KIND_TWO_MODE, block)
+        with pytest.raises(ValueError, match="pump gain.* of the wrong type ndarray"):
+            teleport_composed(channel_input(), 1.0, block)
