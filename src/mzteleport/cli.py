@@ -25,7 +25,6 @@ from .teleporter import (
     KIND_TWO_MODE,
     PUMP_GAIN_MAX,
     H_to_squeezing,
-    check_channel,
     coherent_fidelity,
     squeezing_to_H,
 )
@@ -206,7 +205,7 @@ def _resolve(
         _cell_format(args) % 0.0
         if args.command == "fidelity":
             kind, H = _SOURCE_BY_FLAG[args.source], _pump_gain(args)
-            check_channel(kind, 1.0, H)
+            row = (kind, H_to_squeezing(H), H, coherent_fidelity(kind, H))
         else:
             grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
             if args.command == "classical-max":
@@ -222,7 +221,6 @@ def _resolve(
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "fidelity":
-        row = (kind, H_to_squeezing(H), H, coherent_fidelity(kind, H))
         return _render_line(FIDELITY_HEADER, row, args)
     if args.command == "classical-max":
         table = sweep_gain(curves[0][1], grid)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "ModeRegistry",
     "LinearField",
     "annihilator_field",
-    "field_from_terms",
     "combine",
     "dagger",
     "beamsplitter",
@@ -80,8 +78,9 @@ class ModeRegistry:
 class LinearField:
     """``sum_k (u_k a_k + v_k a_k^dag)`` with sparse real or complex coefficients.
 
-    ``terms`` maps mode index to the pair ``(u, v)``, in index order; a term
-    that cancels, or that an element scales by zero, stays as ``(0, 0)``.
+    ``terms`` maps mode index to the pair ``(u, v)``, in index order: an element
+    writes its terms by index, in the increasing order it draws fresh modes. A
+    term that cancels, or that an element scales by zero, stays as ``(0, 0)``.
     A coefficient may be an array over a block of gains, carried elementwise.
     Instances are immutable values -- all operations return new fields.
     """
@@ -94,16 +93,6 @@ class LinearField:
         if mode.registry is not self.registry:
             raise ValueError("mode belongs to a different registry")
         return self.terms.get(mode.index, _ZERO_TERM)
-
-
-def field_from_terms(
-    registry: ModeRegistry, terms: Mapping[ModeId, tuple[complex, complex]]
-) -> LinearField:
-    """Build a field directly from per-mode coefficient pairs."""
-    ordered = sorted(terms.items(), key=lambda item: item[0].index)
-    if any(mode.registry is not registry for mode, _ in ordered):
-        raise ValueError("mode belongs to a different registry")
-    return LinearField(registry, {mode.index: (u, v) for mode, (u, v) in ordered})
 
 
 def annihilator_field(mode: ModeId) -> LinearField:
@@ -150,8 +139,8 @@ def two_mode_squeezer(registry: ModeRegistry, H: float) -> tuple[LinearField, Li
     """
     f1, f2 = registry.fresh_mode(), registry.fresh_mode()
     cosh, sinh = _sqrt(H), _sqrt(H - 1.0)
-    e1 = field_from_terms(registry, {f1: (cosh, 0.0), f2: (0.0, sinh)})
-    e2 = field_from_terms(registry, {f2: (cosh, 0.0), f1: (0.0, sinh)})
+    e1 = LinearField(registry, {f1.index: (cosh, 0.0), f2.index: (0.0, sinh)})
+    e2 = LinearField(registry, {f1.index: (0.0, sinh), f2.index: (cosh, 0.0)})
     return e1, e2
 
 

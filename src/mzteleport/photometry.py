@@ -82,15 +82,18 @@ def expectation(field_f: LinearField, field_g: LinearField, state: QubitInput) -
     ``conj(A_F) A_G + sum_k conj(v_Fk) v_Gk + conj(S_F) S_G`` over the fields' terms
     ``(u_k, v_k)``, i.e. absorbed signal ``A = sum_k u_k c_k``, spontaneous creation, and
     stimulated creation ``S = sum_k v_k conj(c_k)``."""
-    signals = field_f.registry.signal_pair()  # a field of another registry has none of them
+    if field_g.registry is not field_f.registry:
+        raise ValueError("cannot pair fields from different registries")
+    sig_h, sig_v = (mode.index for mode in field_f.registry.signal_pair())
+    f_terms, g_terms = field_f.terms, field_g.terms
     x, y, x_bar, y_bar = state.x, state.y, state.x.conjugate(), state.y.conjugate()
-    (u_fh, v_fh), (u_fv, v_fv) = field_f.coefficient(signals[0]), field_f.coefficient(signals[1])
-    (u_gh, v_gh), (u_gv, v_gv) = field_g.coefficient(signals[0]), field_g.coefficient(signals[1])
+    (u_fh, v_fh), (u_fv, v_fv) = f_terms.get(sig_h, _ZERO_TERM), f_terms.get(sig_v, _ZERO_TERM)
+    (u_gh, v_gh), (u_gv, v_gv) = g_terms.get(sig_h, _ZERO_TERM), g_terms.get(sig_v, _ZERO_TERM)
     absorbed = (u_fh * x + u_fv * y).conjugate() * (u_gh * x + u_gv * y)
     stimulated = (v_fh * x_bar + v_fv * y_bar).conjugate() * (v_gh * x_bar + v_gv * y_bar)
     spontaneous = 0.0
-    for index, (_, v) in field_f.terms.items():
-        spontaneous += v.conjugate() * field_g.terms.get(index, _ZERO_TERM)[1]
+    for index, (_, v) in f_terms.items():
+        spontaneous += v.conjugate() * g_terms.get(index, _ZERO_TERM)[1]
     return absorbed + spontaneous + stimulated
 
 

@@ -21,7 +21,6 @@ from .modes import (
     beamsplitter,
     combine,
     dagger,
-    field_from_terms,
     quadrature_variances,
     two_mode_squeezer,
 )
@@ -152,12 +151,12 @@ def _channel_noise(kind: str, gain, H, registry: ModeRegistry) -> LinearField:
     if kind == KIND_SINGLE_SQUEEZER:
         half_root2 = _sqrt(2) / 2
         terms = {
-            f1: (passthrough_amp * half_root2, creation_amp * half_root2),
-            f2: (half_root2, gain * half_root2),
+            f1.index: (passthrough_amp * half_root2, creation_amp * half_root2),
+            f2.index: (half_root2, gain * half_root2),
         }
     else:
-        terms = {f1: (0.0, creation_amp), f2: (passthrough_amp, 0.0)}
-    return field_from_terms(registry, terms)
+        terms = {f1.index: (0.0, creation_amp), f2.index: (passthrough_amp, 0.0)}
+    return LinearField(registry, terms)
 
 
 def teleport_composed(c: LinearField, gain: float | np.ndarray, H: float) -> LinearField:

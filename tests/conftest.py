@@ -1,16 +1,17 @@
-"""Shared helpers: seeded RNG, random canonical fields, the commutator, a sweep's rows
-and the package's square root in mpmath."""
+"""Shared helpers: seeded RNG, fields from per-mode terms, random canonical fields, the
+commutator, a sweep's rows and the package's square root in mpmath."""
 
 from __future__ import annotations
 
 import types
+from typing import Mapping
 
 import mpmath
 import numpy as np
 import pytest
 
 from mzteleport import QubitInput, modes
-from mzteleport.modes import ModeId, ModeRegistry, field_from_terms
+from mzteleport.modes import LinearField, ModeId, ModeRegistry
 
 
 @pytest.fixture
@@ -29,6 +30,16 @@ def signal_modes() -> list[ModeId]:
 def signal_registry(signal_modes) -> ModeRegistry:
     """The registry that holds :func:`signal_modes`."""
     return signal_modes[0].registry
+
+
+def field_from_terms(
+    registry: ModeRegistry, terms: Mapping[ModeId, tuple[complex, complex]]
+) -> LinearField:
+    """Build a field directly from per-mode coefficient pairs."""
+    ordered = sorted(terms.items(), key=lambda item: item[0].index)
+    if any(mode.registry is not registry for mode, _ in ordered):
+        raise ValueError("mode belongs to a different registry")
+    return LinearField(registry, {mode.index: (u, v) for mode, (u, v) in ordered})
 
 
 def random_canonical_field(registry, modes, rng) -> "LinearField":

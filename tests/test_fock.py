@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import commutator, random_canonical_field, random_qubit
+from conftest import commutator, field_from_terms, random_canonical_field, random_qubit
 from fock_reference import ladder_matrix, operator_matrix, uniform_oracle_flux
 from mzteleport import (
     KIND_CLASSICAL,
@@ -29,7 +29,6 @@ from mzteleport.modes import (
     annihilator_field,
     combine,
     dagger,
-    field_from_terms,
     quadrature_variances,
 )
 from mzteleport.scenarios import LAYOUTS
@@ -310,7 +309,7 @@ class TestOracleExpectation:
     def test_fields_of_two_registries_refused(self):
         field_f, field_g = (annihilator_field(ModeRegistry().signal_pair()[0]) for _ in range(2))
         for bilinear in (expectation, oracle_expectation):
-            with pytest.raises(ValueError, match="different registr"):
+            with pytest.raises(ValueError, match="cannot pair fields from different registries"):
                 bilinear(field_f, field_g, QubitInput(1.0, 0.0))
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_canonical_field, random_qubit
+from conftest import field_from_terms, random_canonical_field, random_qubit
 from mzteleport import (
     KIND_CLASSICAL,
     KIND_TWO_MODE,
@@ -22,7 +22,7 @@ from mzteleport import (
     squeezing_to_H,
     visibility,
 )
-from mzteleport.modes import ModeRegistry, annihilator_field, dagger, field_from_terms
+from mzteleport.modes import ModeRegistry, annihilator_field, dagger
 
 
 class TestQubitInput:

@@ -38,7 +38,7 @@ import types
 import pytest
 import sympy as sp
 
-from conftest import commutator
+from conftest import commutator, field_from_terms
 from mzteleport import (
     H_to_squeezing,
     build_scenario,
@@ -57,7 +57,6 @@ from mzteleport.modes import (
     ModeRegistry,
     annihilator_field,
     attenuate,
-    field_from_terms,
     two_mode_squeezer,
 )
 from mzteleport.scenarios import LAYOUTS, ScenarioConfig, _port_noise, _teleport_arm

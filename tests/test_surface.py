@@ -35,7 +35,7 @@ TRACER_SLOTS = 15
 SUBMODULE_EXPORTS = {
     "cli": "main build_parser FIGURES",
     "fock": "oracle_expectation oracle_flux",
-    "modes": """ModeId ModeRegistry LinearField annihilator_field field_from_terms combine
+    "modes": """ModeId ModeRegistry LinearField annihilator_field combine
         dagger beamsplitter two_mode_squeezer attenuate quadrature_variances""",
     "photometry": "QubitInput PortCounts expectation photon_flux port_count visibility",
     "scenarios": """ETA_AUTO LAYOUTS MAX_GRID_STEPS ScenarioConfig ScenarioOutputs SweepTable

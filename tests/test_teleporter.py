@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import field_from_terms
 from mzteleport import (
     KIND_CLASSICAL,
     KIND_SINGLE_SQUEEZER,
@@ -26,7 +27,6 @@ from mzteleport.modes import (
     annihilator_field,
     attenuate,
     combine,
-    field_from_terms,
     quadrature_variances,
     two_mode_squeezer,
 )
@@ -34,6 +34,7 @@ from mzteleport.scenarios import _teleport_arm
 from mzteleport.teleporter import (
     GAIN_MAX,
     PUMP_GAIN_MAX,
+    _channel_noise,
     check_channel,
     noise_amplitudes,
     teleport_single_squeezer,
@@ -94,17 +95,24 @@ class TestChannelCheck:
 DRAWING_ELEMENTS = {
     "attenuate": (lambda c: [attenuate(c, 0.5)], 1),
     "two_mode_squeezer": (lambda c: two_mode_squeezer(c.registry, 2.0), 2),
+    "two_mode_noise": (lambda c: [_channel_noise(KIND_TWO_MODE, 0.5, 2.0, c.registry)], 2),
+    "single_squeezer_noise": (
+        lambda c: [_channel_noise(KIND_SINGLE_SQUEEZER, 0.5, 2.0, c.registry)],
+        2,
+    ),
     "teleport_two_mode": (lambda c: [teleport_two_mode(c, 0.5, 2.0)], 2),
     "teleport_single_squeezer": (lambda c: [teleport_single_squeezer(c, 0.5, 2.0)], 2),
     "teleport_composed": (lambda c: [teleport_composed(c, 0.5, 2.0)], 2),
 }
+# The elements whose outputs hold only the modes they draw, not their input's.
+REGISTRY_ONLY = {"two_mode_squeezer", "two_mode_noise", "single_squeezer_noise"}
 
 
 @pytest.mark.parametrize("name", DRAWING_ELEMENTS)
 def test_element_draws_exactly_its_own_modes(name):
     # The input sits on a signal mode and one vacuum mode; a probe mode drawn
     # before the call stands for another element's ancilla, which the
-    # element's output must not touch.
+    # element's output must not touch. Each output writes its terms in index order.
     element, drawn = DRAWING_ELEMENTS[name]
     reg = ModeRegistry()
     a_h, _ = reg.signal_pair()
@@ -114,8 +122,11 @@ def test_element_draws_exactly_its_own_modes(name):
     new = set(range(probe + 1, reg.fresh_mode().index))
     assert len(new) == drawn
     support = set().union(*(out.terms.keys() for out in outputs))
-    input_support = set() if name == "two_mode_squeezer" else c.terms.keys()
+    input_support = set() if name in REGISTRY_ONLY else c.terms.keys()
     assert support == input_support | new
+    for out in outputs:
+        indices = list(out.terms)
+        assert all(low < high for low, high in zip(indices, indices[1:]))
 
 
 class TestTwoModeChannel:
