@@ -85,7 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sweep = commands.add_parser("sweep", help="visibility and counts across a gain grid")
-    _add_scenario_flags(sweep)
+    sweep.add_argument("--scenario", choices=scenarios.LAYOUTS, default="a")
+    _add_source_flags(sweep)
+    sweep.add_argument(
+        "--eta",
+        type=_eta_flag,
+        default=None,
+        help="attenuator transmission for scenario b: 'auto' or a value in [0, 1]",
+    )
     _add_grid_flags(sweep)
     _add_output_flags(sweep)
 
@@ -141,17 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", choices=("a", "b", "c"), default="a")
-    _add_source_flags(sub)
-    sub.add_argument(
-        "--eta",
-        type=_eta_flag,
-        default=None,
-        help="attenuator transmission for scenario b: 'auto' or a value in [0, 1]",
-    )
-
-
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--source", choices=sorted(_SOURCE_BY_FLAG), default="two-mode")
     group = sub.add_mutually_exclusive_group()
@@ -171,7 +167,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "tsv", "gnuplot"), default="csv")
+    sub.add_argument("--format", choices=tuple(_SEPARATORS), default="csv")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument(
         "--precision", type=int, default=12, help="significant digits (default 12)"
@@ -192,12 +188,11 @@ def _resolve(
 ) -> Generator[str, None, None]:
     """Check the command's values, evaluate them, and return their text.
 
-    Every configuration is built once over its whole grid, which the
-    library checks at its ends. The library checks every range, so the
-    command line accepts exactly what the library accepts; a value it
-    rejects is a usage error, as is a precision the formatter rejects,
-    reported through ``parser``, the command's own. Every table is
-    evaluated before this returns, so an evaluation failure writes nothing.
+    Three branches, ``fidelity``, ``classical-max`` and the table commands, each check,
+    evaluate and render inside one boundary: a ``ValueError`` of the library, which checks
+    every range, or of the formatter is a usage error, reported through ``parser``, the
+    command's own. A table command checks every configuration over its whole grid before
+    its first sweep. Every table is evaluated before this returns, so a failure writes nothing.
     """
     if args.precision < 1:
         parser.error(f"--precision must be >= 1, got {args.precision}")
@@ -206,28 +201,24 @@ def _resolve(
         if args.command == "fidelity":
             kind, H = _SOURCE_BY_FLAG[args.source], _pump_gain(args)
             row = (kind, H_to_squeezing(H), H, coherent_fidelity(kind, H))
+            return _render_line(FIDELITY_HEADER, row, args)
+        grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
+        if args.command == "classical-max":
+            table = sweep_gain(ScenarioConfig("a", KIND_CLASSICAL, grid, 1.0), grid)
+            best = table.peak()
+            peak = (table.gains[best], table.visibility[best])
+            return _render_line(("lambda_max", "visibility_max"), peak, args)
+        if args.command == "figure":
+            curves = FIGURES[args.name]
         else:
-            grid = default_gain_grid(args.gain_min, args.gain_max, args.steps)
-            if args.command == "classical-max":
-                curves = [(None, ScenarioConfig("a", KIND_CLASSICAL, 0.0, 1.0))]
-            elif args.command == "figure":
-                curves = FIGURES[args.name]
-            else:
-                eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
-                source, pump = _SOURCE_BY_FLAG[args.source], _pump_gain(args)
-                curves = [(None, ScenarioConfig(args.scenario, source, 0.0, pump, eta))]
-            for _, config in curves:
-                replace(config, gain=grid)
+            eta = ETA_AUTO if args.scenario == "b" and args.eta is None else args.eta
+            source, pump = _SOURCE_BY_FLAG[args.source], _pump_gain(args)
+            curves = [(None, ScenarioConfig(args.scenario, source, 0.0, pump, eta))]
+        curves = [(label, replace(config, gain=grid)) for label, config in curves]
+        tables = [(label, sweep_gain(config, grid)) for label, config in curves]
+        return _render_tables(tables, args)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "fidelity":
-        return _render_line(FIDELITY_HEADER, row, args)
-    if args.command == "classical-max":
-        table = sweep_gain(curves[0][1], grid)
-        best = table.peak()
-        peak = (table.gains[best], table.visibility[best])
-        return _render_line(("lambda_max", "visibility_max"), peak, args)
-    return _render_tables([(label, sweep_gain(config, grid)) for label, config in curves], args)
 
 
 def _pump_gain(args: argparse.Namespace) -> float:

@@ -21,6 +21,7 @@ holds at most four new basis states per term.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -34,9 +35,10 @@ _ROOTS = tuple(math.sqrt(n) for n in range(5))  # sqrt(n) of every photon number
 
 def oracle_flux(field: LinearField, state: QubitInput, cutoff: int = 3) -> float:
     """Recompute ``photon_flux``: the diagonal of :func:`oracle_expectation`, exact at every
-    ``cutoff >= 3``. A non-finite (overflowed) flux raises ``OverflowError``."""
-    if cutoff < 3:
-        raise ValueError(f"cutoff must be >= 3 to hold the two-photon image, got {cutoff!r}")
+    integer ``cutoff >= 3``. A non-finite (overflowed) flux raises ``OverflowError``."""
+    integer = type(cutoff) is int or isinstance(cutoff, Integral) and type(cutoff) is not bool
+    if not integer or cutoff < 3:
+        raise ValueError(f"cutoff must be an integer >= 3 to hold two photons, got {cutoff!r}")
     flux = oracle_expectation(field, field, state).real
     if not (np.isfinite(flux).all() if isinstance(flux, np.ndarray) else math.isfinite(flux)):
         raise OverflowError(f"photon flux overflowed to {flux!r}")

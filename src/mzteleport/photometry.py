@@ -66,14 +66,12 @@ class PortCounts:
         a, b, fringe = self.count_a, self.count_b, self.fringe
         for count in (a, b):
             _check_range(count, 0.0, math.inf, "photon counts must be finite and non-negative")
-        if isinstance(a, np.ndarray) != isinstance(b, np.ndarray):
-            raise ValueError("photon counts must be two numbers or two blocks, not one of each")
-        if isinstance(a, np.ndarray) and len(a) != len(b):
-            raise ValueError(f"photon counts must be blocks of one length: {len(a)} != {len(b)}")
         if fringe is not None:
             _check_range(fringe, -_FINITE_MAX, _FINITE_MAX, "a fringe must be finite")
-            if getattr(fringe, "shape", ()) != getattr(a, "shape", ()):
-                raise ValueError("a fringe must be one number or a block, as its counts are")
+        shape = getattr(a, "shape", ())
+        fringe_shape = shape if fringe is None else getattr(fringe, "shape", ())
+        if getattr(b, "shape", ()) != shape or fringe_shape != shape:
+            raise ValueError("photon counts and a fringe must be numbers or blocks of one length")
         object.__setattr__(self, "fringe", a - b if fringe is None else fringe)
 
 
@@ -111,6 +109,7 @@ def port_count(
     """Counts at both ports: per-polarization fluxes summed per port, and their difference,
     unsubtracted if given ``arms``, each polarization's ``c, d`` before the last beamsplitter:
     ports ``h (c +/- d)`` differ by ``4 h^2 Re<c^dag d>``, with ``h`` rounded as they carry it."""
+    arms = tuple(arms)  # read once: an empty iterator gives no arms, as () does
     count_a = sum(photon_flux(field, state) for field in port_a)
     count_b = sum(photon_flux(field, state) for field in port_b)
     h = _sqrt(2) / 2

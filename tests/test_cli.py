@@ -178,6 +178,29 @@ class TestSweepCommand:
         assert not path.exists()
         assert len(calls) == 2
 
+    def test_rejection_while_sweeping_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        # A ValueError is the library rejecting a value, wherever it is raised:
+        # on fig3's second curve too it exits 2 with the usage line, writing nothing.
+        calls = []
+
+        def rejecting_sweep(config, grid):
+            calls.append(config)
+            if len(calls) == 2:
+                raise ValueError("value rejected")
+            return sweep_gain(config, grid)
+
+        monkeypatch.setattr(cli, "sweep_gain", rejecting_sweep)
+        path = tmp_path / "fig3.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "fig3", "--steps", "3", "--out", str(path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mzteleport figure ")
+        assert captured.err.endswith("mzteleport figure: error: value rejected\n")
+        assert not path.exists()
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("command", ["sweep", "lock-curve", "figure", "classical-max"])
     def test_gain_past_the_grid_end_writes_nothing(self, capsys, tmp_path, command):
         # Only the last gain leaves the admitted domain: the configuration

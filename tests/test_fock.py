@@ -279,8 +279,15 @@ class TestOracleFlux:
 
     def test_cutoff_floor(self):
         sig_h, _ = ModeRegistry().signal_pair()
+        field, state = annihilator_field(sig_h), QubitInput(1.0, 0.0)
         with pytest.raises(ValueError, match=">= 3"):
-            oracle_flux(annihilator_field(sig_h), QubitInput(1.0, 0.0), cutoff=2)
+            oracle_flux(field, state, cutoff=2)
+        # Only an integer is a cutoff: a float, even a whole one, a bool, NaN and
+        # a string are refused as values, not compared.
+        for bad in (3.0, 3.5, math.nan, True, "3", np.float64(4.0)):
+            with pytest.raises(ValueError, match="an integer >= 3"):
+                oracle_flux(field, state, cutoff=bad)
+        assert oracle_flux(field, state, cutoff=np.int64(3)) == oracle_flux(field, state)
 
     def test_twenty_one_modes_fit(self, rng):
         # Both signal modes and 19 vacuum modes: the image holds a few basis

@@ -111,7 +111,7 @@ class TestPortCount:
             PortCounts(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
         # One number beside a block would broadcast in visibility; it is rejected.
         for pair in ((0.5, np.array([1.0, 2.0])), (np.array([1.0, 2.0]), 0.5)):
-            with pytest.raises(ValueError, match="photon counts must be two numbers or two blocks"):
+            with pytest.raises(ValueError, match="photon counts and a fringe must be numbers or"):
                 PortCounts(*pair)
         PortCounts(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
 
@@ -134,8 +134,20 @@ class TestPortCount:
             ((np.ones(2), np.ones(2)), 0.0),
             ((np.ones(2), np.ones(2)), np.zeros(3)),
         ):
-            with pytest.raises(ValueError, match="as its counts are"):
+            with pytest.raises(ValueError, match="must be numbers or blocks of one length"):
                 PortCounts(*counts, fringe)
+        assert PortCounts(np.ones(2), np.ones(2), np.zeros(2)).fringe.tolist() == [0.0, 0.0]
+
+    def test_arms_are_read_once(self):
+        # An empty iterator of arms is no arms, as () is, and an iterator of the
+        # arms gives the fringe of the arms themselves.
+        outputs = build_scenario(ScenarioConfig("a", KIND_TWO_MODE, 0.5, 1.125))
+        ports, state = (outputs.port_a, outputs.port_b), QubitInput(1.0, 0.0)
+        without_arms = port_count(*ports, state, ())
+        assert without_arms.fringe == without_arms.count_a - without_arms.count_b
+        assert port_count(*ports, state, iter(())) == without_arms
+        with_arms = port_count(*ports, state, outputs.arms)
+        assert port_count(*ports, state, iter(outputs.arms)) == with_arms
 
     def test_non_finite_count_rejected_once(self):
         # A 1e200 creation coefficient squares past the float range; the
